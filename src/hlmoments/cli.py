@@ -265,7 +265,10 @@ def _add_plan_args(p: argparse.ArgumentParser, default_budget: int) -> None:
         "--budget", type=int, default=default_budget,
         help=f"exact-mode cap on C(n, k) (env {_BUDGET_ENV})",
     )
-    p.add_argument("--chunk", type=int, default=1 << 18, help="combinations per work unit")
+    p.add_argument(
+        "--chunk", type=int, default=1 << 18,
+        help="combinations gathered and evaluated at once",
+    )
 
 
 def _make_parser(default_budget: int) -> argparse.ArgumentParser:

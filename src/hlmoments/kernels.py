@@ -18,20 +18,25 @@ at two-valued configurations (all coordinates equal to one of two levels),
 the extrema of psi_k over tuples of fixed range, and the exact alternating
 binomial sums that make the kernel's location-invariance identity work.
 
-Evaluation strategy: the expanded monomial list of psi_k is generated once
-per order and cached; evaluation is a coefficient-weighted sum of monomials.
-Tuples are put in ascending order first, so the evaluator is exactly (bit
-for bit) permutation invariant.  For k >= 4 the alternating terms cancel
-heavily near psi_k = 0, so the monomial sum is accumulated with Kahan
-compensation.
+Evaluation strategy: psi_k is shift invariant, so it is evaluated on each
+tuple centred at its own mean, d_i = x_i - mean(x).  There it is a
+polynomial in the power sums p_r = sum_i d_i^r, with one exact rational
+coefficient per partition of k into parts >= 2 (21 terms at k = 12).  The
+coefficients are derived once per order, in exact arithmetic, from the
+definition above: sum_i x_i^(k-j) e_j(x without i) expands to
+sum_m (-1)^m e_(j-m) p_(k-j+m), and Newton's identities turn each elementary
+symmetric polynomial e_r into power sums with p_1 = 0.  Centring keeps every
+term at the scale of the tuple's spread, so a location offset costs no
+accuracy.  For k >= 3 each tuple is put in ascending order first, so the
+evaluator is exactly (bit for bit) permutation invariant; for k = 2 the
+difference form (x_1 - x_2)^2 / 2 is exactly symmetric without a sort.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -46,11 +51,10 @@ __all__ = [
     "signed_binomial_sums",
 ]
 
-#: Largest supported moment order.  The expanded kernel has k*(2^(k-1)-1)+1
-#: monomials, so cost (and cancellation) grows combinatorially past this.
+#: Largest supported moment order.  Every order up to it is checked against
+#: the exact rational kernel; the power-sum polynomial itself stays small
+#: (21 terms at k = 12).
 MAX_ORDER = 12
-
-_EXPANDED_CHUNK = 1 << 16
 
 
 def _check_order(k) -> int:
@@ -67,123 +71,74 @@ def _check_order(k) -> int:
 
 
 # ---------------------------------------------------------------------------
-# expanded monomial table
+# power-sum polynomial
 # ---------------------------------------------------------------------------
 
-class _KernelTable:
-    """Monomial expansion of psi_k.
+_Poly = dict[tuple[int, ...], Fraction]  # sorted power-sum orders -> coefficient
 
-    Every monomial except the final product term has exactly one coordinate
-    raised to a power >= 2 and a set of distinct linear coordinates, so rows
-    are stored as (coefficient, power column, power, linear columns).
+
+def _add_term(poly: _Poly, parts: tuple[int, ...], coef: Fraction) -> None:
+    key = tuple(sorted(parts))
+    poly[key] = poly.get(key, Fraction(0)) + coef
+
+
+@functools.cache
+def _power_sum_coefficients(k: int) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
+    """psi_k of a mean-centred tuple as exact (power-sum orders, coefficient) pairs.
+
+    Orders (r_1, ..., r_m) stand for the product p_(r_1) ... p_(r_m); they
+    run over the partitions of k into parts >= 2.
     """
-
-    def __init__(self, k: int):
-        coeffs: list[float] = []
-        pcols: list[int] = []
-        pexps: list[int] = []
-        lcols: list[tuple[int, ...]] = []
-        for j in range(k - 1):  # j = 0 .. k-2
-            c = (-1.0) ** j / (k - j)
-            for i1 in range(k):
-                others = [i for i in range(k) if i != i1]
-                for sub in combinations(others, j):
-                    coeffs.append(c)
-                    pcols.append(i1)
-                    pexps.append(k - j)
-                    lcols.append(sub)
-        self.k = k
-        self.coeffs = np.asarray(coeffs, dtype=np.float64)
-        self.pcols = np.asarray(pcols, dtype=np.intp)
-        self.pexps = np.asarray(pexps, dtype=np.intp)
-        self.lcols = lcols
-        self.final_coeff = (-1.0) ** (k - 1) * (k - 1)
+    # Newton's identities with p_1 = 0: r e_r = sum_{i>=2} (-1)^(i-1) e_(r-i) p_i
+    e: list[_Poly] = [{(): Fraction(1)}]
+    for r in range(1, k + 1):
+        e_r: _Poly = {}
+        for i in range(2, r + 1):
+            for parts, c in e[r - i].items():
+                _add_term(e_r, parts + (i,), Fraction((-1) ** (i - 1), r) * c)
+        e.append(e_r)
+    psi: _Poly = {}
+    for j in range(k - 1):
+        for m in range(j + 1):
+            for parts, c in e[j - m].items():
+                _add_term(psi, parts + (k - j + m,), Fraction((-1) ** (j + m), k - j) * c)
+    for parts, c in e[k].items():
+        _add_term(psi, parts, (-1) ** (k - 1) * (k - 1) * c)
+    return tuple((parts, c) for parts, c in sorted(psi.items()) if c)
 
 
-_TABLES: dict[int, _KernelTable] = {}
-_TABLES_LOCK = threading.Lock()
-
-
-def _table(k: int) -> _KernelTable:
-    tab = _TABLES.get(k)
-    if tab is None:
-        with _TABLES_LOCK:
-            tab = _TABLES.get(k)
-            if tab is None:
-                tab = _KernelTable(k)
-                _TABLES[k] = tab
-    return tab
-
-
-def _eval_expanded_block(x: np.ndarray, tab: _KernelTable) -> np.ndarray:
-    k = tab.k
-    total = np.zeros(x.shape[0])
-    comp = np.zeros(x.shape[0])
-    kahan = k >= 4
-    for c, pc, pe, lc in zip(tab.coeffs, tab.pcols, tab.pexps, tab.lcols):
-        term = x[:, pc] ** pe
-        for col in lc:
-            term = term * x[:, col]
-        term *= c
-        if kahan:
-            y = term - comp
-            t = total + y
-            comp = (t - total) - y
-            total = t
-        else:
-            total += term
-    term = np.full(x.shape[0], tab.final_coeff)
-    for col in range(k):
-        term *= x[:, col]
-    if kahan:
-        y = term - comp
-        total = total + y
-    else:
-        total += term
-    return total
-
-
-def _eval_expanded(x: np.ndarray, k: int) -> np.ndarray:
-    tab = _table(k)
-    if x.shape[0] <= _EXPANDED_CHUNK:
-        return _eval_expanded_block(x, tab)
-    out = np.empty(x.shape[0])
-    for start in range(0, x.shape[0], _EXPANDED_CHUNK):
-        stop = min(start + _EXPANDED_CHUNK, x.shape[0])
-        out[start:stop] = _eval_expanded_block(x[start:stop], tab)
+def _power_sum_kernel(x: np.ndarray, k: int) -> np.ndarray:
+    """psi_k of each row of an (m, k) array from its centred power sums."""
+    terms = _power_sum_coefficients(k)
+    orders = {r for parts, _ in terms for r in parts}
+    cols = [x[:, i] for i in range(k)]
+    mean = cols[0].copy()
+    for col in cols[1:]:
+        mean += col
+    mean /= k
+    sums = {r: np.zeros(x.shape[0]) for r in orders}
+    for col in cols:
+        d = col - mean
+        power = d * d
+        for r in range(2, k + 1):
+            if r > 2:
+                power *= d
+            if r in sums:
+                sums[r] += power
+    out = np.zeros(x.shape[0])
+    for parts, coef in terms:
+        term = sums[parts[0]] * float(coef)
+        for r in parts[1:]:
+            term *= sums[r]
+        out += term
     return out
 
 
-# ---------------------------------------------------------------------------
-# closed forms for low orders
-# ---------------------------------------------------------------------------
-
-def _kernel2(x: np.ndarray) -> np.ndarray:
-    d = x[:, 0] - x[:, 1]
-    return 0.5 * d * d
-
-
-def _kernel3(x: np.ndarray) -> np.ndarray:
-    # h-statistic of a 3-point sample: 1.5 * sum of cubed deviations
-    d = x - x.mean(axis=1, keepdims=True)
-    return 1.5 * (d * d * d).sum(axis=1)
-
-
-def _kernel4(x: np.ndarray) -> np.ndarray:
-    # h-statistic of a 4-point sample in plug-in moments: -10 m2^2 + (22/3) m4
-    d = x - x.mean(axis=1, keepdims=True)
-    d2 = d * d
-    m2 = d2.mean(axis=1)
-    m4 = (d2 * d2).mean(axis=1)
-    return -10.0 * m2 * m2 + (22.0 / 3.0) * m4
-
-
-def kernel_values(x: np.ndarray, k: int, *, expanded: bool = False) -> np.ndarray:
+def kernel_values(x: np.ndarray, k: int) -> np.ndarray:
     """Evaluate psi_k on each row of an (m, k) array.
 
-    Rows are sorted ascending before evaluation, which makes the result an
-    exactly permutation-invariant function of each row.  Closed forms are
-    used for k <= 4 unless ``expanded`` forces the general monomial sum.
+    The result is an exactly (bit for bit) permutation-invariant function of
+    each row: for k >= 3 rows are sorted ascending before evaluation.
     """
     k = _check_order(k)
     x = np.asarray(x, dtype=np.float64)
@@ -191,19 +146,14 @@ def kernel_values(x: np.ndarray, k: int, *, expanded: bool = False) -> np.ndarra
         raise ArgumentError(
             f"expected an (m, {k}) array of {k}-tuples, got shape {x.shape}"
         )
-    x = np.sort(x, axis=1)
-    if expanded:
-        return _eval_expanded(x, k)
     if k == 2:
-        return _kernel2(x)
-    if k == 3:
-        return _kernel3(x)
-    if k == 4:
-        return _kernel4(x)
-    return _eval_expanded(x, k)
+        # two-operand arithmetic is symmetric, so no sort is needed
+        d = x[:, 0] - x[:, 1]
+        return 0.5 * d * d
+    return _power_sum_kernel(np.sort(x, axis=1), k)
 
 
-def central_moment_kernel(values, k: int | None = None, *, expanded: bool = False):
+def central_moment_kernel(values, k: int | None = None):
     """psi_k(values): the unbiased central-moment kernel.
 
     Parameters
@@ -213,9 +163,6 @@ def central_moment_kernel(values, k: int | None = None, *, expanded: bool = Fals
     k : int, optional
         Moment order; inferred from the trailing axis when omitted and
         validated against it when given.
-    expanded : bool
-        Force the general expanded-monomial evaluator even for k <= 4,
-        where specialized closed forms are otherwise used.
 
     Returns
     -------
@@ -234,8 +181,8 @@ def central_moment_kernel(values, k: int | None = None, *, expanded: bool = Fals
     if not np.isfinite(x).all():
         raise ArgumentError("kernel arguments must be finite")
     if x.ndim == 1:
-        return float(kernel_values(x[None, :], k, expanded=expanded)[0])
-    return kernel_values(x, k, expanded=expanded)
+        return float(kernel_values(x[None, :], k)[0])
+    return kernel_values(x, k)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Exact mode enumerates all C(n, k) combinations in disjoint rank blocks using
 a combinadic (lexicographic rank <-> combination) bijection, so work units
 partition the enumeration without coordination.  Monte Carlo mode draws
-combinations uniformly with replacement, with one RNG substream per
-fixed-size block of draws so the result depends only on (sample, plan) and
-never on how blocks are scheduled.
+combinations uniformly with replacement, with one RNG substream per block
+of 2^18 draws, so the result depends only on (sample, draws, seed) and
+never on the plan's ``chunk`` or on how blocks are scheduled.
 
 The returned pseudo-sample is sorted ascending with -0.0 normalized to +0.0,
 making it bit-reproducible.
@@ -41,8 +41,12 @@ __all__ = [
 #: Default cap on C(n, k) for exact enumeration.
 DEFAULT_BUDGET = 50_000_000
 
-#: Default combinations (or draws) per work unit.
+#: Default combinations (or draws) gathered and evaluated at once.
 DEFAULT_CHUNK = 1 << 18
+
+# Draws per Monte Carlo RNG substream.  It defines the stream, so it is
+# fixed: changing it changes every Monte Carlo result.
+_MC_BLOCK = 1 << 18
 
 _MAX_UINT64 = 2**64 - 1
 _MAX_INT64 = 2**63 - 1
@@ -179,6 +183,17 @@ def _sample_index_combinations(
     return sel
 
 
+def _monte_carlo_blocks(plan: MonteCarloPlan, n: int, k: int):
+    """Yield the plan's index combinations in blocks of _MC_BLOCK draws.
+
+    Block b is drawn from its own substream keyed by (seed, b), so the
+    stream is fixed by (n, k, plan.draws, plan.seed) alone.
+    """
+    for block, start in enumerate(range(0, plan.draws, _MC_BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(block,)))
+        yield _sample_index_combinations(rng, n, k, min(_MC_BLOCK, plan.draws - start))
+
+
 def _checked_sample(sample, k: int) -> np.ndarray:
     x = np.asarray(sample, dtype=np.float64)
     if x.ndim != 1:
@@ -217,13 +232,15 @@ def build_pseudosample(sample, k: int, plan: PseudoPlan = ExactPlan()) -> np.nda
             out[start:stop] = kernel_values(x[idx], k)
     elif isinstance(plan, MonteCarloPlan):
         out = np.empty(plan.draws)
-        for block, start in enumerate(range(0, plan.draws, plan.chunk)):
-            stop = min(start + plan.chunk, plan.draws)
-            rng = np.random.default_rng(
-                np.random.SeedSequence(plan.seed, spawn_key=(block,))
-            )
-            sel = _sample_index_combinations(rng, n, k, stop - start)
-            out[start:stop] = kernel_values(x[sel], k)
+        blocks = _monte_carlo_blocks(plan, n, k)
+        sel = np.empty((0, k), dtype=np.int64)
+        for start in range(0, plan.draws, plan.chunk):
+            m = min(plan.chunk, plan.draws - start)
+            while sel.shape[0] < m:
+                block = next(blocks)
+                sel = np.concatenate((sel, block)) if sel.shape[0] else block
+            out[start:start + m] = kernel_values(x[sel[:m]], k)
+            sel = sel[m:]
     else:
         raise ArgumentError(f"unknown plan type {type(plan).__name__}")
 

@@ -26,7 +26,7 @@ from .estimators import (
     trimmed_sd_pairwise,
     trimmed_sd_symmetric,
 )
-from .distributions import Family, Weibull
+from .distributions import Family, Weibull, _open_unit
 from .kernels import kernel_support_bounds, kernel_values
 from .lstat import TrimSpec
 from .pseudosample import ExactPlan, MonteCarloPlan
@@ -47,10 +47,6 @@ __all__ = [
 ]
 
 _SCHEMA_VERSION = 1
-
-
-def _open_unit(rng: np.random.Generator, size) -> np.ndarray:
-    return rng.integers(1, 1 << 53, size=size) / float(1 << 53)
 
 
 def _default_bins(n_draws: int) -> int:

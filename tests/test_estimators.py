@@ -61,6 +61,16 @@ class TestCentralMoment:
         got = hl_central_moment([float(v) for v in sample], k).value
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_untrimmed_is_exact_under_location_shift(self, k):
+        # multiples of 1/8 below 64 stay exact in binary after a shift up to 1e4,
+        # so the shifted sample has exactly the unshifted U-statistic
+        x = np.round(np.random.default_rng(30 + k).gamma(2.0, 1.0, 12) * 8) / 8
+        want = float(exact_u_statistic([Fraction(v) for v in x], k))
+        for shift in (0.0, 1e2, 1e3, 1e4):
+            got = hl_central_moment(x + shift, k).value
+            assert abs(got - want) <= 1e-10 * abs(want), shift
+
     def test_equivariance_under_scaling(self):
         rng = np.random.default_rng(31)
         x = rng.normal(size=14)

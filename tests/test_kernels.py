@@ -17,13 +17,20 @@ from hlmoments import (
     kernel_values,
     signed_binomial_sums,
 )
-from hlmoments.kernels import _kernel2, _kernel3, _kernel4
+from hlmoments.kernels import _power_sum_coefficients
 
 from oracles import (
     exact_kernel_expectation,
     exact_population_central_moment,
     psi_exact,
 )
+
+
+def _rational_tuple(rng, k, top, den):
+    # k rationals a/b with |a| <= top and 1 <= b <= den
+    nums = rng.integers(-top, top + 1, size=k)
+    dens = rng.integers(1, den + 1, size=k)
+    return [Fraction(int(a), int(b)) for a, b in zip(nums, dens)]
 
 
 class TestKnownValues:
@@ -61,14 +68,36 @@ class TestAgainstExactExpansion:
             scale = max(abs(want), float(max(abs(v) for v in tup)) ** k * 1e-6, 1e-9)
             assert abs(got - want) / scale < 1e-12
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("k", range(2, 13))
     def test_closed_forms_match_expanded_evaluator(self, k):
+        # the power-sum polynomial against the literal expansion, one batch
         rng = np.random.default_rng(7 + k)
-        x = rng.uniform(-4.0, 4.0, size=(500, k))
-        closed = {2: _kernel2, 3: _kernel3, 4: _kernel4}[k](np.sort(x, axis=1))
-        general = kernel_values(x, k, expanded=True)
-        scale = np.maximum(np.abs(general), 1e-3 * np.abs(x).max(axis=1) ** k)
-        assert np.max(np.abs(closed - general) / scale) < 1e-12
+        rows = 3 if k >= 10 else 20
+        tups = [_rational_tuple(rng, k, 12, 7) for _ in range(rows)]
+        x = np.array([[float(v) for v in t] for t in tups])
+        got = kernel_values(x, k)
+        for t, row, value in zip(tups, x, got):
+            want = float(psi_exact(t))
+            scale = max(abs(want), float(np.mean(np.abs(row - row.mean()) ** k)))
+            assert abs(value - want) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_power_sum_coefficients_are_exact(self, k):
+        # sum_parts c * prod p_r(t - mean t) equals psi_k(t) in rational arithmetic
+        terms = _power_sum_coefficients(k)
+        assert all(sum(parts) == k and min(parts) >= 2 for parts, _ in terms)
+        rng = np.random.default_rng(200 + k)
+        for _ in range(2 if k >= 10 else 6):
+            t = _rational_tuple(rng, k, 9, 5)
+            mean = sum(t) / k
+            p = {r: sum((v - mean) ** r for v in t) for r in range(2, k + 1)}
+            value = Fraction(0)
+            for parts, coef in terms:
+                term = coef
+                for r in parts:
+                    term *= p[r]
+                value += term
+            assert value == psi_exact(t)
 
 
 class TestExactExpectationOracle:

@@ -130,6 +130,15 @@ class TestMonteCarloBuild:
         b = build_pseudosample(x, 3, plan)
         assert np.array_equal(a, b)
 
+    def test_chunk_does_not_change_result(self):
+        # the RNG substreams are keyed on fixed blocks, not on the chunk;
+        # 600k draws span three blocks, the last one partial
+        x = np.random.default_rng(6).normal(size=25)
+        want = build_pseudosample(x, 3, MonteCarloPlan(draws=600_000, seed=7))
+        for chunk in (1000, 4096, 10**6):
+            got = build_pseudosample(x, 3, MonteCarloPlan(draws=600_000, seed=7, chunk=chunk))
+            assert np.array_equal(got, want), chunk
+
     def test_different_seeds_differ(self):
         x = np.random.default_rng(5).normal(size=25)
         a = build_pseudosample(x, 3, MonteCarloPlan(draws=10_000, seed=1))
