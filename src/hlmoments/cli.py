@@ -267,7 +267,7 @@ def _add_plan_args(p: argparse.ArgumentParser, default_budget: int) -> None:
     )
     p.add_argument(
         "--chunk", type=int, default=1 << 18,
-        help="combinations gathered and evaluated at once",
+        help="combinations evaluated at once; memory beyond the output is O(chunk * k)",
     )
 
 

@@ -27,9 +27,9 @@ definition above: sum_i x_i^(k-j) e_j(x without i) expands to
 sum_m (-1)^m e_(j-m) p_(k-j+m), and Newton's identities turn each elementary
 symmetric polynomial e_r into power sums with p_1 = 0.  Centring keeps every
 term at the scale of the tuple's spread, so a location offset costs no
-accuracy.  For k >= 3 each tuple is put in ascending order first, so the
-evaluator is exactly (bit for bit) permutation invariant; for k = 2 the
-difference form (x_1 - x_2)^2 / 2 is exactly symmetric without a sort.
+accuracy.  ``kernel_values`` evaluates rows as given (k = 2 by the difference
+form); ``central_moment_kernel`` sorts each tuple first, so it is exactly
+(bit for bit) permutation invariant.
 """
 
 from __future__ import annotations
@@ -135,10 +135,11 @@ def _power_sum_kernel(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def kernel_values(x: np.ndarray, k: int) -> np.ndarray:
-    """Evaluate psi_k on each row of an (m, k) array.
+    """Evaluate psi_k on each row of an (m, k) array, as given.
 
-    The result is an exactly (bit for bit) permutation-invariant function of
-    each row: for k >= 3 rows are sorted ascending before evaluation.
+    Rows are not sorted.  For k >= 3 the last bits depend on the order
+    within a row: the pipeline passes ascending rows, and
+    ``central_moment_kernel`` sorts each tuple first.
     """
     k = _check_order(k)
     x = np.asarray(x, dtype=np.float64)
@@ -147,10 +148,9 @@ def kernel_values(x: np.ndarray, k: int) -> np.ndarray:
             f"expected an (m, {k}) array of {k}-tuples, got shape {x.shape}"
         )
     if k == 2:
-        # two-operand arithmetic is symmetric, so no sort is needed
         d = x[:, 0] - x[:, 1]
         return 0.5 * d * d
-    return _power_sum_kernel(np.sort(x, axis=1), k)
+    return _power_sum_kernel(x, k)
 
 
 def central_moment_kernel(values, k: int | None = None):
@@ -167,7 +167,8 @@ def central_moment_kernel(values, k: int | None = None):
     Returns
     -------
     float or ndarray
-        Kernel value per tuple.
+        Kernel value per tuple; each tuple is sorted first, so bit for bit
+        permutation invariant.
     """
     x = np.asarray(values, dtype=np.float64)
     if x.ndim not in (1, 2):
@@ -180,6 +181,7 @@ def central_moment_kernel(values, k: int | None = None):
         raise ArgumentError(f"tuple length {width} does not match order k={k}")
     if not np.isfinite(x).all():
         raise ArgumentError("kernel arguments must be finite")
+    x = np.sort(x, axis=-1)
     if x.ndim == 1:
         return float(kernel_values(x[None, :], k)[0])
     return kernel_values(x, k)

@@ -137,7 +137,7 @@ def _checked_sorted(values) -> np.ndarray:
         raise ArgumentError("expected a non-empty sequence")
     if not np.isfinite(arr).all():
         raise ArgumentError("sequence entries must be finite")
-    if np.any(np.diff(arr) < 0):
+    if np.any(arr[1:] < arr[:-1]):  # np.diff would copy the whole sequence
         raise ContractViolationError("input sequence must be sorted ascending")
     return arr
 

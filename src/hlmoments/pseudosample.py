@@ -1,11 +1,11 @@
 """Materialize the sorted kernel pseudo-sample over k-subsets of a sample.
 
-Exact mode enumerates all C(n, k) combinations in disjoint rank blocks using
-a combinadic (lexicographic rank <-> combination) bijection, so work units
-partition the enumeration without coordination.  Monte Carlo mode draws
-combinations uniformly with replacement, with one RNG substream per block
-of 2^18 draws, so the result depends only on (sample, draws, seed) and
-never on the plan's ``chunk`` or on how blocks are scheduled.
+The sample is sorted once and every index tuple is strictly increasing, so
+every gathered row is ascending already.  Exact mode enumerates all C(n, k)
+combinations in colexicographic blocks.  Monte Carlo mode draws combinations
+uniformly with replacement, with one RNG substream per block of 2^18 draws,
+so the result depends only on (sample, draws, seed) and never on the plan's
+``chunk`` or on how blocks are scheduled.
 
 The returned pseudo-sample is sorted ascending with -0.0 normalized to +0.0,
 making it bit-reproducible.
@@ -54,7 +54,11 @@ _MAX_INT64 = 2**63 - 1
 
 @dataclass(frozen=True)
 class ExactPlan:
-    """Enumerate every combination, provided C(n, k) <= budget."""
+    """Enumerate every combination, provided C(n, k) <= budget.
+
+    Evaluates at most ``chunk`` combinations at once; working memory beyond
+    the C(n, k) output values is O(chunk * k), however large C(n, k) is.
+    """
 
     budget: int = DEFAULT_BUDGET
     chunk: int = DEFAULT_CHUNK
@@ -68,7 +72,11 @@ class ExactPlan:
 
 @dataclass(frozen=True)
 class MonteCarloPlan:
-    """Draw ``draws`` combinations uniformly with replacement, seeded."""
+    """Draw ``draws`` combinations uniformly with replacement, seeded.
+
+    Evaluates at most ``chunk`` combinations at once; working memory beyond
+    the ``draws`` output values is O(chunk * k) plus one block of 2^18 draws.
+    """
 
     draws: int
     seed: int = 0
@@ -102,33 +110,6 @@ def count_combinations(n: int, k: int) -> int:
     return total
 
 
-def _binomial_columns(n: int, k: int) -> list[np.ndarray]:
-    # cols[i][m] = C(m, i) for i = 1..k; nondecreasing in m, int64-safe
-    # because count_combinations(n, k) was checked by the caller.
-    cols = []
-    for i in range(1, k + 1):
-        cols.append(np.array([math.comb(m, i) for m in range(n)], dtype=np.int64))
-    return cols
-
-
-def _unrank_lex(ranks: np.ndarray, n: int, k: int, total: int) -> np.ndarray:
-    """Vectorized lexicographic unrank: (m,) ranks -> (m, k) ascending subsets.
-
-    Uses the colexicographic unrank of the reversed complement: the r-th
-    lex subset equals n-1 minus the (C(n,k)-1-r)-th colex subset, digit by
-    digit.
-    """
-    cols = _binomial_columns(n, k)
-    rem = (total - 1) - ranks.astype(np.int64)
-    out = np.empty((ranks.shape[0], k), dtype=np.int64)
-    for i in range(k, 0, -1):
-        col = cols[i - 1]
-        a = np.searchsorted(col, rem, side="right") - 1
-        rem = rem - col[a]
-        out[:, k - i] = (n - 1) - a
-    return out
-
-
 def unrank_combination(rank: int, n: int, k: int) -> tuple[int, ...]:
     """The lexicographically rank-th strictly increasing k-subset of {0..n-1}."""
     total = count_combinations(n, k)
@@ -137,10 +118,14 @@ def unrank_combination(rank: int, n: int, k: int) -> tuple[int, ...]:
     rank = int(rank)
     if not 0 <= rank < total:
         raise ArgumentError(f"rank {rank} outside [0, C({n},{k}) = {total})")
-    if k == 0:
-        return ()
-    row = _unrank_lex(np.array([rank], dtype=np.int64), n, k, total)[0]
-    return tuple(int(v) for v in row)
+    combo, v = [], 0
+    for pos in range(k):
+        while rank >= (skipped := math.comb(n - 1 - v, k - 1 - pos)):
+            rank -= skipped
+            v += 1
+        combo.append(v)
+        v += 1
+    return tuple(combo)
 
 
 def rank_combination(combo, n: int, k: int) -> int:
@@ -169,29 +154,77 @@ def _sample_index_combinations(
     """Draw m uniform k-subsets of {0..n-1}, rows sorted ascending.
 
     Sequential selection: the j-th index is uniform over the n-j values not
-    yet chosen in its row, mapped past the chosen ones in ascending order.
+    yet chosen in its row, mapped past the chosen ones (kept ascending) and
+    inserted among them.
     """
-    sel = np.empty((m, k), dtype=np.int64)
+    sel = np.empty((k, m), dtype=np.int64)  # one contiguous row per position
     for j in range(k):
         v = rng.integers(0, n - j, size=m)
-        if j:
-            prev = np.sort(sel[:, :j], axis=1)
-            for t in range(j):
-                v = v + (v >= prev[:, t])
-        sel[:, j] = v
-    sel.sort(axis=1)
-    return sel
+        for t in range(j):
+            v += v >= sel[t]
+        for t in range(j):
+            low = np.minimum(sel[t], v)
+            np.maximum(sel[t], v, out=v)
+            sel[t] = low
+        sel[j] = v
+    return sel.T
 
 
-def _monte_carlo_blocks(plan: MonteCarloPlan, n: int, k: int):
-    """Yield the plan's index combinations in blocks of _MC_BLOCK draws.
+def _monte_carlo_rows(x: np.ndarray, k: int, plan: MonteCarloPlan):
+    """Yield the plan's drawn rows of x, at most ``plan.chunk`` at a time.
 
-    Block b is drawn from its own substream keyed by (seed, b), so the
-    stream is fixed by (n, k, plan.draws, plan.seed) alone.
+    Block b of _MC_BLOCK draws comes from its own substream keyed by
+    (seed, b), so the stream is fixed by (n, k, plan.draws, plan.seed) alone.
     """
     for block, start in enumerate(range(0, plan.draws, _MC_BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(block,)))
-        yield _sample_index_combinations(rng, n, k, min(_MC_BLOCK, plan.draws - start))
+        sel = _sample_index_combinations(rng, x.size, k, min(_MC_BLOCK, plan.draws - start))
+        for at in range(0, sel.shape[0], plan.chunk):
+            yield x[sel[at:at + plan.chunk]]
+
+
+def _exact_rows(x: np.ndarray, k: int, chunk: int):
+    """Yield the rows of x at every k-subset of indices, at most ``chunk`` at a time.
+
+    In colexicographic order the r-subsets of range(m) are the first
+    C(m, r) entries of one table, so "every r-subset of range(m), then x at
+    fixed larger indices ``top``" is a table prefix plus constants.  Such a
+    block is packed into the reused buffer (which every yielded view
+    shares) when it has at most chunk // r rows, or when r = 1 (the table
+    is x itself); otherwise it is split by its largest free index j.
+    Tables for r >= 2 are capped at chunk // r rows as well, so tables and
+    buffer hold O(chunk * k) values together.
+    """
+    n, xs = x.size, x.tolist()
+    # tables[q]: x at the colex q-subsets, one contiguous row per position
+    tables = [None, x[None, :]]
+
+    def blocks(r, m, top):
+        size = math.comb(m, r)
+        if r == 1 or size <= chunk // r:
+            for a in range(0, size, chunk):  # only r = 1 blocks exceed a chunk
+                yield r, a, min(a + chunk, size), top
+        else:
+            for j in range(r - 1, m):
+                yield from blocks(r - 1, j, (xs[j],) + top)
+
+    buf = np.empty((k, min(chunk, math.comb(n, k))))
+    fill = 0
+    for r, a, b, top in blocks(k, n, ()):
+        while len(tables) <= r:  # table q: for each j, table q - 1 up to C(j, q - 1), then j
+            q = m = len(tables)  # no block at level q reaches past index n - (k - q)
+            while m < n - (k - q) and math.comb(m + 1, q) <= chunk // q:
+                m += 1
+            counts = np.array([math.comb(j, q - 1) for j in range(q - 1, m)])
+            at = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+            tables.append(np.vstack((tables[-1][:, at], np.repeat(x[q - 1:m], counts))))
+        if fill + b - a > buf.shape[1]:
+            yield buf[:, :fill].T
+            fill = 0
+        buf[:r, fill:fill + b - a] = tables[r][:, a:b]
+        buf[r:, fill:fill + b - a] = np.reshape(top, (-1, 1))
+        fill += b - a
+    yield buf[:, :fill].T
 
 
 def _checked_sample(sample, k: int) -> np.ndarray:
@@ -214,7 +247,7 @@ def build_pseudosample(sample, k: int, plan: PseudoPlan = ExactPlan()) -> np.nda
     (sample, k, plan), independent of block scheduling.
     """
     k = _check_order(k)
-    x = _checked_sample(sample, k)
+    x = np.sort(_checked_sample(sample, k))
     n = x.size
 
     if isinstance(plan, ExactPlan):
@@ -224,28 +257,20 @@ def build_pseudosample(sample, k: int, plan: PseudoPlan = ExactPlan()) -> np.nda
                 f"C({n}, {k}) = {total} exceeds the exact-mode budget "
                 f"{plan.budget}; use a Monte Carlo plan"
             )
-        out = np.empty(total)
-        for start in range(0, total, plan.chunk):
-            stop = min(start + plan.chunk, total)
-            ranks = np.arange(start, stop, dtype=np.int64)
-            idx = _unrank_lex(ranks, n, k, total)
-            out[start:stop] = kernel_values(x[idx], k)
+        chunks = _exact_rows(x, k, plan.chunk)
     elif isinstance(plan, MonteCarloPlan):
-        out = np.empty(plan.draws)
-        blocks = _monte_carlo_blocks(plan, n, k)
-        sel = np.empty((0, k), dtype=np.int64)
-        for start in range(0, plan.draws, plan.chunk):
-            m = min(plan.chunk, plan.draws - start)
-            while sel.shape[0] < m:
-                block = next(blocks)
-                sel = np.concatenate((sel, block)) if sel.shape[0] else block
-            out[start:start + m] = kernel_values(x[sel[:m]], k)
-            sel = sel[m:]
+        total = plan.draws
+        chunks = _monte_carlo_rows(x, k, plan)
     else:
         raise ArgumentError(f"unknown plan type {type(plan).__name__}")
 
-    if np.isnan(out).any():
-        raise ArgumentError("kernel evaluation produced NaN; input is invalid")
+    out = np.empty(total)
+    start = 0
+    for rows in chunks:
+        out[start:start + rows.shape[0]] = kernel_values(rows, k)
+        start += rows.shape[0]
     out += 0.0  # fold -0.0 into +0.0 so the sorted output is bit-canonical
     out.sort()
+    if np.isnan(out[-1]):  # the sort puts any NaN last
+        raise ArgumentError("kernel evaluation produced NaN; input is invalid")
     return out

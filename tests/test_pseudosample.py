@@ -1,5 +1,7 @@
 """Combinadics and pseudo-sample construction."""
 
+import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -14,6 +16,7 @@ from hlmoments import (
     ExactPlan,
     MonteCarloPlan,
     build_pseudosample,
+    central_moment_kernel,
     count_combinations,
     rank_combination,
     unrank_combination,
@@ -94,14 +97,47 @@ class TestExactBuild:
         # chunked enumeration covers exactly the full combination set
         rng = np.random.default_rng(23)
         x = rng.normal(size=13)
-        from hlmoments.kernels import kernel_values
-
         full = np.sort(
-            kernel_values(x[np.array(list(combinations(range(13), 3)))], 3) + 0.0
+            central_moment_kernel(x[np.array(list(combinations(range(13), 3)))], 3) + 0.0
         )
         for chunk in (1, 7, 50, 10**6):
             got = build_pseudosample(x, 3, ExactPlan(chunk=chunk))
             assert np.array_equal(got, full)
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_matches_sorted_kernel_of_every_subset(self, k, offset):
+        # unsorted input with ties and both signed zeros; the pipeline sorts
+        # the sample once, so its rows reach the kernel in ascending order
+        n = max(12, k + 3)
+        rng = np.random.default_rng(k)
+        x = np.round(rng.normal(size=n) * 2.0) / 2.0
+        x[:4] = [0.0, -0.0, 1.5, 0.0]
+        x = rng.permutation(x) + offset
+        want = np.sort(
+            central_moment_kernel(x[np.array(list(combinations(range(n), k)))], k) + 0.0
+        )
+        # (k - 1) * C(n - 2, k - 1) keeps every top-index block whole but
+        # the last, which it splits
+        splitting = (k - 1) * math.comb(n - 2, k - 1)
+        for chunk in (1, 7, splitting, 10**6):
+            got = build_pseudosample(x, k, ExactPlan(chunk=chunk))
+            assert got.tobytes() == want.tobytes(), chunk
+
+    def test_working_memory_is_bounded_by_chunk(self):
+        # C(29, 5) = 118755 subsets share the largest index, far more than
+        # the chunk; only the output may grow with C(n, k)
+        x = np.random.default_rng(30).normal(size=30)
+        chunk = 4096
+        build_pseudosample(x[:8], 6, ExactPlan(chunk=chunk))  # warm caches
+        tracemalloc.start()
+        try:
+            out = build_pseudosample(x, 6, ExactPlan(chunk=chunk))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.size == math.comb(30, 6)
+        assert peak - out.nbytes <= 4 * chunk * 6 * 8
 
     def test_budget_exceeded(self):
         with pytest.raises(CapacityError):
@@ -114,6 +150,12 @@ class TestExactBuild:
     def test_nan_rejected(self):
         with pytest.raises(ArgumentError):
             build_pseudosample([1.0, np.nan, 2.0], 2)
+
+    @pytest.mark.parametrize("plan", [ExactPlan(chunk=2), MonteCarloPlan(draws=50, seed=1)])
+    def test_nan_kernel_value_rejected(self, plan):
+        # finite inputs whose kernel overflows to inf - inf
+        with np.errstate(all="ignore"), pytest.raises(ArgumentError):
+            build_pseudosample([1e200, -1e200, 3.0, 1.0], 3, plan)
 
     def test_no_negative_zero_in_output(self):
         x = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
@@ -167,6 +209,32 @@ class TestMonteCarloBuild:
         pairs, counts = np.unique(sel, axis=0, return_counts=True)
         assert len(pairs) == 10
         assert counts.min() > 9_300 and counts.max() < 10_700
+
+    @pytest.mark.parametrize(
+        "n, k, m, seed",
+        [(5, 2, 1000, 0), (13, 12, 4000, 1), (40, 3, 5000, 2), (100_000, 4, 20_000, 3), (9, 9, 50, 4)],
+    )
+    def test_index_sampler_matches_reference_algorithm(self, n, k, m, seed):
+        from hlmoments.pseudosample import _sample_index_combinations
+
+        def reference(rng, n, k, m):
+            # the sampler as first written: re-sort the chosen prefix for
+            # every column and sort every row at the end
+            sel = np.empty((m, k), dtype=np.int64)
+            for j in range(k):
+                v = rng.integers(0, n - j, size=m)
+                if j:
+                    prev = np.sort(sel[:, :j], axis=1)
+                    for t in range(j):
+                        v = v + (v >= prev[:, t])
+                sel[:, j] = v
+            sel.sort(axis=1)
+            return sel
+
+        got = _sample_index_combinations(np.random.default_rng(seed), n, k, m)
+        want = reference(np.random.default_rng(seed), n, k, m)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
     def test_plan_validation(self):
         with pytest.raises(ArgumentError):
