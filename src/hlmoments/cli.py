@@ -193,50 +193,50 @@ def _cmd_congruence(args) -> int:
     return EXIT_OK
 
 
+# experiment name -> (run the probe from the parsed args, does its property hold)
+_EXPERIMENTS = {
+    "equivariance": (
+        lambda a: _verify.equivariance_suite(trials=a.trials, seed=a.seed),
+        lambda r, a: r.max_rel_dev_kernel <= 1e-9 and r.max_rel_dev_standardized <= 1e-9,
+    ),
+    "variance-dominance": (
+        lambda a: _verify.variance_comparison(
+            _parse_family_arg(a.family), tuple(int(tok) for tok in a.n_list.split(",")),
+            eps=a.eps, replications=a.replications, seed=a.seed,
+        ),
+        lambda r, a: all(x > 1.0 for x in r.ratio)
+        and all(x <= y for x, y in zip(r.ratio, r.ratio[1:])),
+    ),
+    "pairwise-shape": (
+        lambda a: _verify.pairwise_diff_probe(
+            _parse_family_arg(a.family), n_draws=a.n_draws, seed=a.seed, bins=a.bins
+        ),
+        lambda r, a: r.monotonicity >= 0.9,
+    ),
+    "kernel-shape": (
+        lambda a: _verify.kernel_shape_probe(
+            _parse_family_arg(a.family), k=a.k, n_draws=a.n_draws, seed=a.seed, bins=a.bins
+        ),
+        lambda r, a: r.abs_median_over_sigma <= 0.1,
+    ),
+    "support-bounds": (
+        lambda a: _verify.support_bound_probe(k=a.k, resolution=a.resolution),
+        lambda r, a: abs(r.observed_min - r.bound_lower) <= a.tolerance
+        and abs(r.observed_max - r.bound_upper) <= a.tolerance,
+    ),
+    "mc-consistency": (
+        lambda a: _verify.mc_consistency_probe(
+            _parse_family_arg(a.family), n=a.n, k=a.k, eps0=a.eps0, draws=a.draws, n_seeds=a.seeds
+        ),
+        lambda r, a: r.passes >= int(np.ceil(0.9 * len(r.seeds))),
+    ),
+}
+
+
 def _cmd_verify(args) -> int:
-    name = args.experiment
-    if name == "equivariance":
-        report = _verify.equivariance_suite(trials=args.trials, seed=args.seed)
-        ok = (
-            report.max_rel_dev_kernel <= 1e-9
-            and report.max_rel_dev_standardized <= 1e-9
-        )
-    elif name == "variance-dominance":
-        family = _parse_family_arg(args.family)
-        n_values = tuple(int(tok) for tok in args.n_list.split(","))
-        report = _verify.variance_comparison(
-            family, n_values, eps=args.eps, replications=args.replications, seed=args.seed
-        )
-        ok = all(r > 1.0 for r in report.ratio) and all(
-            a <= b for a, b in zip(report.ratio, report.ratio[1:])
-        )
-    elif name == "pairwise-shape":
-        family = _parse_family_arg(args.family)
-        report = _verify.pairwise_diff_probe(
-            family, n_draws=args.n_draws, seed=args.seed, bins=args.bins
-        )
-        ok = report.monotonicity >= 0.9
-    elif name == "kernel-shape":
-        family = _parse_family_arg(args.family)
-        report = _verify.kernel_shape_probe(
-            family, k=args.k, n_draws=args.n_draws, seed=args.seed, bins=args.bins
-        )
-        ok = report.abs_median_over_sigma <= 0.1
-    elif name == "support-bounds":
-        report = _verify.support_bound_probe(k=args.k, resolution=args.resolution)
-        ok = (
-            abs(report.observed_min - report.bound_lower) <= args.tolerance
-            and abs(report.observed_max - report.bound_upper) <= args.tolerance
-        )
-    elif name == "mc-consistency":
-        family = _parse_family_arg(args.family)
-        report = _verify.mc_consistency_probe(
-            family, n=args.n, k=args.k, eps0=args.eps0,
-            draws=args.draws, n_seeds=args.seeds,
-        )
-        ok = report.passes >= int(np.ceil(0.9 * len(report.seeds)))
-    else:  # pragma: no cover - argparse choices guard this
-        raise _InputError(f"unknown experiment {name!r}")
+    run, holds = _EXPERIMENTS[args.experiment]
+    report = run(args)
+    ok = holds(report, args)
     _emit(report.to_dict(), args)
     return EXIT_OK if ok else EXIT_PROPERTY
 
@@ -310,13 +310,7 @@ def _make_parser(default_budget: int) -> argparse.ArgumentParser:
     p_con.set_defaults(func=_cmd_congruence)
 
     p_ver = sub.add_parser("verify", help="run a verification experiment")
-    p_ver.add_argument(
-        "experiment",
-        choices=(
-            "equivariance", "variance-dominance", "pairwise-shape",
-            "kernel-shape", "support-bounds", "mc-consistency",
-        ),
-    )
+    p_ver.add_argument("experiment", choices=tuple(_EXPERIMENTS))
     p_ver.add_argument("--family", default="normal(0,1)")
     p_ver.add_argument("--k", type=int, default=3)
     p_ver.add_argument("--n", type=int, default=20)

@@ -26,6 +26,7 @@ from scipy.special import gamma as _gamma_fn
 from scipy.special import gammainc, gammaincinv, gammaln, ndtr, ndtri
 
 from .errors import ArgumentError
+from .records import Record
 
 __all__ = [
     "Family",
@@ -430,8 +431,10 @@ def lognormal_qa_sigma_derivative(family: LogNormal, eps: float, gamma: float) -
 
 
 @dataclass(frozen=True)
-class CongruenceVerdict:
+class CongruenceVerdict(Record):
     """Outcome of a sign scan of dQA/dparam over an eps grid."""
+
+    RECORD = "congruence-verdict"
 
     family: str
     param: str
@@ -439,29 +442,6 @@ class CongruenceVerdict:
     epsilons: tuple[float, ...]
     signs: tuple[int, ...]
     verdict: str
-
-    def to_dict(self) -> dict:
-        return {
-            "record": "congruence-verdict",
-            "schema_version": 1,
-            "family": self.family,
-            "param": self.param,
-            "gamma": self.gamma,
-            "epsilons": list(self.epsilons),
-            "signs": list(self.signs),
-            "verdict": self.verdict,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CongruenceVerdict":
-        return cls(
-            family=str(d["family"]),
-            param=str(d["param"]),
-            gamma=float(d["gamma"]),
-            epsilons=tuple(float(v) for v in d["epsilons"]),
-            signs=tuple(int(v) for v in d["signs"]),
-            verdict=str(d["verdict"]),
-        )
 
 
 def congruence_check(

@@ -24,7 +24,7 @@ Two trimmed standard deviations are provided for comparison:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -38,7 +38,10 @@ from .lstat import (
     breakdown_from_trim,
     trimmed_mean,
 )
-from .pseudosample import ExactPlan, MonteCarloPlan, PseudoPlan, build_pseudosample
+from .pseudosample import (
+    ExactPlan, MonteCarloPlan, PseudoPlan, _checked_sample, build_pseudosample,
+)
+from .records import Record
 
 __all__ = [
     "MomentEstimate",
@@ -52,7 +55,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class MomentEstimate:
+class MomentEstimate(Record):
     """An estimate with full provenance.
 
     ``eps0``/``gamma`` are the pseudo-sample trim parameters, ``eps`` the
@@ -60,6 +63,8 @@ class MomentEstimate:
     size (C(n, k) for exact plans, the draw count for Monte Carlo plans),
     and ``seed`` the Monte Carlo seed when one was used.
     """
+
+    RECORD = "moment-estimate"
 
     value: float
     k: int
@@ -70,26 +75,6 @@ class MomentEstimate:
     pseudo_n: int
     method: str
     seed: Optional[int] = None
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["record"] = "moment-estimate"
-        d["schema_version"] = 1
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MomentEstimate":
-        return cls(
-            value=float(d["value"]),
-            k=int(d["k"]),
-            eps0=float(d["eps0"]),
-            gamma=float(d["gamma"]),
-            eps=float(d["eps"]),
-            n=int(d["n"]),
-            pseudo_n=int(d["pseudo_n"]),
-            method=str(d["method"]),
-            seed=None if d.get("seed") is None else int(d["seed"]),
-        )
 
 
 def _plan_seed(plan: PseudoPlan) -> Optional[int]:
@@ -201,12 +186,7 @@ def trimmed_sd_symmetric(sample, eps: float = 0.0) -> MomentEstimate:
         raise ArgumentError(f"eps must be a finite real, got {eps!r}")
     if not 0.0 <= eps < 0.5:
         raise ArgumentError(f"eps must lie in [0, 0.5), got {eps}")
-    x = np.asarray(sample, dtype=np.float64)
-    if x.ndim != 1 or x.size < 2:
-        raise ArgumentError("sample must be 1-D with at least two entries")
-    if not np.isfinite(x).all():
-        raise ArgumentError("sample entries must be finite")
-    xs = np.sort(x)
+    xs = np.sort(_checked_sample(sample, 2))
     n = xs.size
     lo = n // 2 + 1
     hi = math.floor(_snap(n * (1.0 - eps)))
@@ -234,11 +214,7 @@ def sample_central_moment(sample, k: int) -> float:
     """Plug-in moment m_k = mean((x - mean(x))^k); biased, non-robust comparator."""
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ArgumentError(f"k must be a positive integer, got {k!r}")
-    x = np.asarray(sample, dtype=np.float64)
-    if x.ndim != 1 or x.size < 1:
-        raise ArgumentError("sample must be 1-D and non-empty")
-    if not np.isfinite(x).all():
-        raise ArgumentError("sample entries must be finite")
+    x = _checked_sample(sample, 1)
     d = x - x.mean()
     return float(np.mean(d**k))
 
@@ -251,14 +227,8 @@ def h_statistic(sample, k: int) -> float:
     """
     if not isinstance(k, (int, np.integer)) or k not in (2, 3, 4):
         raise ArgumentError(f"h_statistic supports k in {{2, 3, 4}}, got {k!r}")
-    x = np.asarray(sample, dtype=np.float64)
-    if x.ndim != 1:
-        raise ArgumentError("sample must be 1-D")
+    x = _checked_sample(sample, k)
     n = x.size
-    if n < k:
-        raise ArgumentError(f"need n >= k, got n={n} for k={k}")
-    if not np.isfinite(x).all():
-        raise ArgumentError("sample entries must be finite")
     d = x - x.mean()
     if k == 2:
         return float((d @ d) / (n - 1))

@@ -3,8 +3,11 @@
 Each probe draws from a parametric family, measures an empirical consequence
 of the theory (shape of the pairwise-difference distribution, near-zero
 median of the kernel distribution, variance dominance of the pairwise
-trimmed SD, kernel extrema, affine equivariance) and returns a frozen report
-that serializes losslessly to a flat dict.
+trimmed SD, kernel extrema, affine equivariance) and returns a frozen report.
+Reports share the package's one record codec: ``to_dict`` gives a flat,
+tagged dict that survives JSON unchanged, and ``report_from_dict`` rebuilds
+any of the five report types from it, raising ``ArgumentError`` on malformed
+input.
 
 All probes are deterministic functions of their arguments: replication
 streams are derived from the seed with fixed spawn keys, never from global
@@ -30,6 +33,7 @@ from .distributions import Family, Weibull, _open_unit
 from .kernels import kernel_support_bounds, kernel_values
 from .lstat import TrimSpec
 from .pseudosample import ExactPlan, MonteCarloPlan
+from .records import Record
 
 __all__ = [
     "ShapeProbe",
@@ -46,8 +50,6 @@ __all__ = [
     "report_from_dict",
 ]
 
-_SCHEMA_VERSION = 1
-
 
 def _default_bins(n_draws: int) -> int:
     return int(math.ceil(2.0 * n_draws ** (1.0 / 3.0)))
@@ -58,13 +60,15 @@ def _default_bins(n_draws: int) -> int:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ShapeProbe:
+class ShapeProbe(Record):
     """Histogram summary of a simulated kernel or pairwise-difference draw.
 
     ``monotonicity`` is the fraction of adjacent bin pairs ordered the way a
     unimodal-toward-the-mode shape predicts (toward zero for the pairwise
     probe, toward the mode bin for kernel probes).
     """
+
+    RECORD = "shape-probe"
 
     kind: str
     family: str
@@ -79,45 +83,12 @@ class ShapeProbe:
     monotonicity: float
     abs_median_over_sigma: float
 
-    def to_dict(self) -> dict:
-        return {
-            "record": "shape-probe",
-            "schema_version": _SCHEMA_VERSION,
-            "kind": self.kind,
-            "family": self.family,
-            "k": self.k,
-            "n_draws": self.n_draws,
-            "seed": self.seed,
-            "bin_edges": list(self.bin_edges),
-            "counts": list(self.counts),
-            "median": self.median,
-            "sigma": self.sigma,
-            "mode_bin": self.mode_bin,
-            "monotonicity": self.monotonicity,
-            "abs_median_over_sigma": self.abs_median_over_sigma,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ShapeProbe":
-        return cls(
-            kind=str(d["kind"]),
-            family=str(d["family"]),
-            k=int(d["k"]),
-            n_draws=int(d["n_draws"]),
-            seed=int(d["seed"]),
-            bin_edges=tuple(float(v) for v in d["bin_edges"]),
-            counts=tuple(int(v) for v in d["counts"]),
-            median=float(d["median"]),
-            sigma=float(d["sigma"]),
-            mode_bin=int(d["mode_bin"]),
-            monotonicity=float(d["monotonicity"]),
-            abs_median_over_sigma=float(d["abs_median_over_sigma"]),
-        )
-
 
 @dataclass(frozen=True)
-class VarianceComparison:
+class VarianceComparison(Record):
     """Replication variances of the two trimmed SDs across sample sizes."""
+
+    RECORD = "variance-comparison"
 
     family: str
     eps: float
@@ -128,37 +99,12 @@ class VarianceComparison:
     var_pairwise: tuple[float, ...]
     ratio: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "record": "variance-comparison",
-            "schema_version": _SCHEMA_VERSION,
-            "family": self.family,
-            "eps": self.eps,
-            "n_values": list(self.n_values),
-            "replications": self.replications,
-            "seed": self.seed,
-            "var_symmetric": list(self.var_symmetric),
-            "var_pairwise": list(self.var_pairwise),
-            "ratio": list(self.ratio),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VarianceComparison":
-        return cls(
-            family=str(d["family"]),
-            eps=float(d["eps"]),
-            n_values=tuple(int(v) for v in d["n_values"]),
-            replications=int(d["replications"]),
-            seed=int(d["seed"]),
-            var_symmetric=tuple(float(v) for v in d["var_symmetric"]),
-            var_pairwise=tuple(float(v) for v in d["var_pairwise"]),
-            ratio=tuple(float(v) for v in d["ratio"]),
-        )
-
 
 @dataclass(frozen=True)
-class SupportBoundsReport:
+class SupportBoundsReport(Record):
     """Grid-search extrema of psi_k under min=0, max=1 versus the bounds."""
+
+    RECORD = "support-bounds"
 
     k: int
     resolution: int
@@ -167,33 +113,12 @@ class SupportBoundsReport:
     bound_lower: float
     bound_upper: float
 
-    def to_dict(self) -> dict:
-        return {
-            "record": "support-bounds",
-            "schema_version": _SCHEMA_VERSION,
-            "k": self.k,
-            "resolution": self.resolution,
-            "observed_min": self.observed_min,
-            "observed_max": self.observed_max,
-            "bound_lower": self.bound_lower,
-            "bound_upper": self.bound_upper,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SupportBoundsReport":
-        return cls(
-            k=int(d["k"]),
-            resolution=int(d["resolution"]),
-            observed_min=float(d["observed_min"]),
-            observed_max=float(d["observed_max"]),
-            bound_lower=float(d["bound_lower"]),
-            bound_upper=float(d["bound_upper"]),
-        )
-
 
 @dataclass(frozen=True)
-class EquivarianceReport:
+class EquivarianceReport(Record):
     """Worst relative deviation from kernel / estimator affine equivariance."""
+
+    RECORD = "equivariance"
 
     trials: int
     seed: int
@@ -201,31 +126,12 @@ class EquivarianceReport:
     max_rel_dev_kernel: float
     max_rel_dev_standardized: float
 
-    def to_dict(self) -> dict:
-        return {
-            "record": "equivariance",
-            "schema_version": _SCHEMA_VERSION,
-            "trials": self.trials,
-            "seed": self.seed,
-            "max_k": self.max_k,
-            "max_rel_dev_kernel": self.max_rel_dev_kernel,
-            "max_rel_dev_standardized": self.max_rel_dev_standardized,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EquivarianceReport":
-        return cls(
-            trials=int(d["trials"]),
-            seed=int(d["seed"]),
-            max_k=int(d["max_k"]),
-            max_rel_dev_kernel=float(d["max_rel_dev_kernel"]),
-            max_rel_dev_standardized=float(d["max_rel_dev_standardized"]),
-        )
-
 
 @dataclass(frozen=True)
-class McConsistencyReport:
+class McConsistencyReport(Record):
     """Relative deviation of Monte Carlo estimates from the exact estimate."""
+
+    RECORD = "mc-consistency"
 
     family: str
     n: int
@@ -239,56 +145,24 @@ class McConsistencyReport:
     tolerance: float
     passes: int
 
-    def to_dict(self) -> dict:
-        return {
-            "record": "mc-consistency",
-            "schema_version": _SCHEMA_VERSION,
-            "family": self.family,
-            "n": self.n,
-            "k": self.k,
-            "eps0": self.eps0,
-            "gamma": self.gamma,
-            "draws": self.draws,
-            "sample_seed": self.sample_seed,
-            "seeds": list(self.seeds),
-            "rel_devs": list(self.rel_devs),
-            "tolerance": self.tolerance,
-            "passes": self.passes,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "McConsistencyReport":
-        return cls(
-            family=str(d["family"]),
-            n=int(d["n"]),
-            k=int(d["k"]),
-            eps0=float(d["eps0"]),
-            gamma=float(d["gamma"]),
-            draws=int(d["draws"]),
-            sample_seed=int(d["sample_seed"]),
-            seeds=tuple(int(v) for v in d["seeds"]),
-            rel_devs=tuple(float(v) for v in d["rel_devs"]),
-            tolerance=float(d["tolerance"]),
-            passes=int(d["passes"]),
-        )
-
 
 _REPORT_TYPES = {
-    "shape-probe": ShapeProbe,
-    "variance-comparison": VarianceComparison,
-    "support-bounds": SupportBoundsReport,
-    "equivariance": EquivarianceReport,
-    "mc-consistency": McConsistencyReport,
+    cls.RECORD: cls
+    for cls in (
+        ShapeProbe, VarianceComparison, SupportBoundsReport, EquivarianceReport,
+        McConsistencyReport,
+    )
 }
 
 
 def report_from_dict(d: dict):
-    """Reconstruct any verify report (or raise for unknown record tags)."""
+    """Reconstruct any verify report; raise ``ArgumentError`` on malformed input."""
+    if not isinstance(d, dict):
+        raise ArgumentError(f"a report must be a dict, got {type(d).__name__}")
     tag = d.get("record")
-    cls = _REPORT_TYPES.get(tag)
-    if cls is None:
+    if not isinstance(tag, str) or tag not in _REPORT_TYPES:
         raise ArgumentError(f"unknown report record {tag!r}")
-    return cls.from_dict(d)
+    return _REPORT_TYPES[tag].from_dict(d)
 
 
 # ---------------------------------------------------------------------------

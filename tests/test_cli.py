@@ -208,6 +208,25 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["abs_median_over_sigma"] <= 0.1
 
+    def test_pairwise_shape_small(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            ["verify", "pairwise-shape", "--family", "uniform(0,1)", "--n-draws", "20000",
+             "--bins", "10"],
+        )
+        assert code == 0
+        assert json.loads(out)["record"] == "shape-probe"
+
+    @pytest.mark.parametrize("draws, expected", [("200000", 0), ("50", 5)])
+    def test_mc_consistency_small(self, capsys, draws, expected):
+        code, out, _ = run_cli(
+            capsys,
+            ["verify", "mc-consistency", "--n", "6", "--k", "3", "--eps0", "0",
+             "--draws", draws, "--seeds", "3"],
+        )
+        assert code == expected
+        assert json.loads(out)["record"] == "mc-consistency"
+
 
 class TestOutputContracts:
     def test_byte_identical_reruns(self, capsys, datafile):

@@ -5,14 +5,26 @@ R = 1000) live in test_acceptance.py; here the probes run small and fast.
 """
 
 import json
+import math
+from dataclasses import fields, replace
 
 import pytest
 
 from hlmoments import (
     ArgumentError,
+    CongruenceVerdict,
+    EquivarianceReport,
+    McConsistencyReport,
+    MomentEstimate,
+    MonteCarloPlan,
+    ShapeProbe,
+    SupportBoundsReport,
     Uniform,
+    VarianceComparison,
     Weibull,
+    congruence_check,
     equivariance_suite,
+    hl_central_moment,
     kernel_shape_probe,
     mc_consistency_probe,
     normal,
@@ -21,6 +33,21 @@ from hlmoments import (
     support_bound_probe,
     variance_comparison,
 )
+
+# one hand-built instance of each frozen report record
+RECORDS = [
+    MomentEstimate(1.5, 3, 0.1, 1.0, 0.03, 10, 120, "hl-central-moment/trimmed-mean"),
+    CongruenceVerdict("weibull(shape=1, scale=1)", "shape", 1.0, (0.1, 0.5), (-1, 1),
+                      "non-congruent"),
+    ShapeProbe("kernel", "normal(mu=0, sigma=1)", 3, 100, 0, (-1.0, 0.0, 1.0), (40, 60),
+               0.1, 1.0, 1, 1.0, 0.1),
+    VarianceComparison("normal(mu=0, sigma=1)", 0.1, (12, 16), 40, 3, (2.0, 1.5), (1.0, 0.5),
+                       (2.0, 3.0)),
+    SupportBoundsReport(3, 20, -0.3, 0.3, -1 / 3, 1 / 3),
+    EquivarianceReport(200, 4, 6, 0.0, 1e-15),
+    McConsistencyReport("weibull(shape=1, scale=1)", 10, 3, 0.1, 1.0, 100, 2024, (0, 1),
+                        (0.004, 0.02), 0.01, 1),
+]
 
 
 class TestPairwiseDiffProbe:
@@ -154,8 +181,10 @@ class TestMcConsistency:
 
 class TestReportSerialization:
     def test_round_trips(self):
+        probe = pairwise_diff_probe(Uniform(0.0, 1.0), n_draws=5_000, seed=1, bins=20)
         reports = [
-            pairwise_diff_probe(Uniform(0.0, 1.0), n_draws=5_000, seed=1, bins=20),
+            probe,
+            replace(probe, abs_median_over_sigma=math.inf),
             kernel_shape_probe(normal(0.0, 1.0), 3, n_draws=5_000, seed=2, bins=20),
             variance_comparison(normal(0.0, 1.0), (12, 16), 0.1, 40, seed=3),
             support_bound_probe(3, resolution=25),
@@ -168,7 +197,46 @@ class TestReportSerialization:
             wire = json.dumps(rep.to_dict(), sort_keys=True)
             back = report_from_dict(json.loads(wire))
             assert back == rep
+        assert '"abs_median_over_sigma": Infinity' in json.dumps(reports[1].to_dict())
+
+        x = Weibull(1.0, 1.0).sample(8, 0)
+        unseeded = hl_central_moment(x, 3)
+        seeded = hl_central_moment(x, 3, plan=MonteCarloPlan(draws=200, seed=5))
+        assert unseeded.seed is None and seeded.seed == 5
+        for rec in (unseeded, seeded, congruence_check(Weibull(1.0, 1.0), "shape")):
+            wire = json.dumps(rec.to_dict(), sort_keys=True)
+            assert type(rec).from_dict(json.loads(wire)) == rec
+        seedless = unseeded.to_dict()
+        del seedless["seed"]
+        assert MomentEstimate.from_dict(seedless) == unseeded
+
+    def test_wire_tags(self):
+        # the tags are part of the output format
+        assert [rec.to_dict()["record"] for rec in RECORDS] == [
+            "moment-estimate", "congruence-verdict", "shape-probe", "variance-comparison",
+            "support-bounds", "equivariance", "mc-consistency",
+        ]
+
+    @pytest.mark.parametrize(
+        "case", ["missing-field", "uncoercible", "not-a-dict", "foreign-tag", "schema-version"]
+    )
+    @pytest.mark.parametrize("rec", RECORDS, ids=lambda rec: type(rec).__name__)
+    def test_malformed_input_raises_argument_error(self, rec, case):
+        d = rec.to_dict()
+        first = fields(rec)[0].name
+        numeric = next(f.name for f in fields(rec) if type(d[f.name]) in (int, float))
+        bad = {
+            "missing-field": {key: v for key, v in d.items() if key != first},
+            "uncoercible": {**d, numeric: "not a number"},
+            "not-a-dict": [d],
+            "foreign-tag": {**d, "record": "congruence-verdict" if d["record"] == "moment-estimate"
+                            else "moment-estimate"},
+            "schema-version": {**d, "schema_version": 99},
+        }[case]
+        with pytest.raises(ArgumentError):
+            type(rec).from_dict(bad)
 
     def test_unknown_record_rejected(self):
-        with pytest.raises(ArgumentError):
-            report_from_dict({"record": "mystery"})
+        for bad in ({"record": "mystery"}, {"record": ["x"]}, RECORDS[0].to_dict(), [1], None):
+            with pytest.raises(ArgumentError):
+                report_from_dict(bad)
