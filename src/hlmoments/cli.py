@@ -112,6 +112,13 @@ def _load_sample(args) -> np.ndarray:
     return family.sample(args.n, args.sample_seed)
 
 
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError as exc:
+        raise _InputError(f"expected comma-separated integers, got {text!r}") from exc
+
+
 def _build_plan(args):
     if args.mode == "exact":
         return ExactPlan(budget=args.budget, chunk=args.chunk)
@@ -201,7 +208,7 @@ _EXPERIMENTS = {
     ),
     "variance-dominance": (
         lambda a: _verify.variance_comparison(
-            _parse_family_arg(a.family), tuple(int(tok) for tok in a.n_list.split(",")),
+            _parse_family_arg(a.family), _int_list(a.n_list),
             eps=a.eps, replications=a.replications, seed=a.seed,
         ),
         lambda r, a: all(x > 1.0 for x in r.ratio)
@@ -263,7 +270,8 @@ def _add_plan_args(p: argparse.ArgumentParser, default_budget: int) -> None:
     p.add_argument("--plan-seed", type=int, default=0, help="Monte Carlo seed")
     p.add_argument(
         "--budget", type=int, default=default_budget,
-        help=f"exact-mode cap on C(n, k) (env {_BUDGET_ENV})",
+        help=f"exact-mode cap on C(n, k), also for k = 2 trimmed means and medians, "
+        f"which do not build the pairs (env {_BUDGET_ENV})",
     )
     p.add_argument(
         "--chunk", type=int, default=1 << 18,

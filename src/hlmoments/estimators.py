@@ -39,7 +39,7 @@ from .lstat import (
     trimmed_mean,
 )
 from .pseudosample import (
-    ExactPlan, MonteCarloPlan, PseudoPlan, _checked_sample, build_pseudosample,
+    ExactPlan, MonteCarloPlan, PseudoPlan, _checked_sample, _pairwise_window, build_pseudosample,
 )
 from .records import Record
 
@@ -92,10 +92,14 @@ def hl_central_moment(
 
     With ``trim.eps0 = 0`` and the trimmed-mean estimator this equals the
     U-statistic, the minimum-variance unbiased estimator of the kth central
-    moment.
+    moment.  Exact k = 2 trimmed means and medians of large samples hold
+    O(n log n), not the C(n, 2) pseudo-sample, which ``plan.budget`` still caps.
     """
-    pseudo = build_pseudosample(sample, k, plan)
-    value = apply_lestimator(estimator, pseudo, trim)
+    selected = _pairwise_window(sample, k, trim, estimator.kind, plan)
+    if selected is None:
+        pseudo = build_pseudosample(sample, k, plan)
+        selected = apply_lestimator(estimator, pseudo, trim), pseudo.size
+    value, pseudo_n = selected
     return MomentEstimate(
         value=value,
         k=int(k),
@@ -103,7 +107,7 @@ def hl_central_moment(
         gamma=trim.gamma,
         eps=breakdown_from_trim(trim.eps0, int(k)),
         n=int(np.asarray(sample).size),
-        pseudo_n=int(pseudo.size),
+        pseudo_n=int(pseudo_n),
         method=f"hl-central-moment/{estimator.kind}",
         seed=_plan_seed(plan),
     )
@@ -156,19 +160,23 @@ def trimmed_sd_pairwise(
     """Trimmed SD from the sorted pairwise kernel values (x_i - x_j)^2 / 2.
 
     With eps0 = 0 this equals the Bessel-corrected sample standard
-    deviation to floating-point accuracy.
+    deviation to floating-point accuracy.  Exact plans on large samples hold
+    O(n log n), not the C(n, 2) pairs, which ``plan.budget`` still caps.
     """
     trim = TrimSpec(eps0=eps0, gamma=gamma)
-    pseudo = build_pseudosample(sample, 2, plan)
-    value = math.sqrt(trimmed_mean(pseudo, trim))
+    selected = _pairwise_window(sample, 2, trim, "trimmed-mean", plan)
+    if selected is None:
+        pseudo = build_pseudosample(sample, 2, plan)
+        selected = trimmed_mean(pseudo, trim), pseudo.size
+    mean, pseudo_n = selected
     return MomentEstimate(
-        value=value,
+        value=math.sqrt(mean),
         k=2,
         eps0=trim.eps0,
         gamma=trim.gamma,
         eps=breakdown_from_trim(trim.eps0, 2),
         n=int(np.asarray(sample).size),
-        pseudo_n=int(pseudo.size),
+        pseudo_n=int(pseudo_n),
         method="trimmed-sd-pairwise",
         seed=_plan_seed(plan),
     )

@@ -27,9 +27,10 @@ definition above: sum_i x_i^(k-j) e_j(x without i) expands to
 sum_m (-1)^m e_(j-m) p_(k-j+m), and Newton's identities turn each elementary
 symmetric polynomial e_r into power sums with p_1 = 0.  Centring keeps every
 term at the scale of the tuple's spread, so a location offset costs no
-accuracy.  ``kernel_values`` evaluates rows as given (k = 2 by the difference
-form); ``central_moment_kernel`` sorts each tuple first, so it is exactly
-(bit for bit) permutation invariant.
+accuracy.  ``kernel_values`` evaluates rows as given (k = 2 by ``_psi2``, the
+one float expression that pairwise selection in ``pseudosample`` shares, so
+both agree bit for bit); ``central_moment_kernel`` sorts each tuple first, so
+it is exactly (bit for bit) permutation invariant.
 """
 
 from __future__ import annotations
@@ -134,6 +135,11 @@ def _power_sum_kernel(x: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _psi2(d):
+    """psi_2 of pairs whose difference is d."""
+    return 0.5 * d * d
+
+
 def kernel_values(x: np.ndarray, k: int) -> np.ndarray:
     """Evaluate psi_k on each row of an (m, k) array, as given.
 
@@ -148,8 +154,7 @@ def kernel_values(x: np.ndarray, k: int) -> np.ndarray:
             f"expected an (m, {k}) array of {k}-tuples, got shape {x.shape}"
         )
     if k == 2:
-        d = x[:, 0] - x[:, 1]
-        return 0.5 * d * d
+        return _psi2(x[:, 0] - x[:, 1])
     return _power_sum_kernel(x, k)
 
 

@@ -9,6 +9,9 @@ so the result depends only on (sample, draws, seed) and never on the plan's
 
 The returned pseudo-sample is sorted ascending with -0.0 normalized to +0.0,
 making it bit-reproducible.
+
+Exact k = 2 trimmed means and medians of large samples are selected from the
+sorted sample in O(n log n) instead, never holding the pairs (``_pairwise_window``).
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from .errors import (
     CapacityError,
     CombinationOverflowError,
 )
-from .kernels import _check_order, kernel_values
+from .kernels import _check_order, _psi2, kernel_values
+from .lstat import TrimSpec, retained_window
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -50,6 +54,12 @@ _MC_BLOCK = 1 << 18
 
 _MAX_UINT64 = 2**64 - 1
 _MAX_INT64 = 2**63 - 1
+
+# Above this many pairs selecting beats building (measured).  Selection probes
+# 4096 cells a round, pivots two binomial standard deviations either side of
+# the target, and partitions once at most 16 n + 4096 cells remain.
+_PAIRWISE_CROSSOVER = 30_000
+_SELECT_PROBE, _SELECT_SPREAD, _SELECT_GATHER = 4096, 64, 16
 
 
 @dataclass(frozen=True)
@@ -228,7 +238,10 @@ def _exact_rows(x: np.ndarray, k: int, chunk: int):
 
 
 def _checked_sample(sample, k: int) -> np.ndarray:
-    x = np.asarray(sample, dtype=np.float64)
+    try:
+        x = np.asarray(sample, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ArgumentError(f"sample must be real numbers: {exc}") from exc
     if x.ndim != 1:
         raise ArgumentError(f"sample must be 1-D, got shape {x.shape}")
     if not np.isfinite(x).all():
@@ -274,3 +287,105 @@ def build_pseudosample(sample, k: int, plan: PseudoPlan = ExactPlan()) -> np.nda
     if np.isnan(out[-1]):  # the sort puts any NaN last
         raise ArgumentError("kernel evaluation produced NaN; input is invalid")
     return out
+
+
+def _pairwise_bounds(x: np.ndarray, t: float) -> np.ndarray:
+    """First column j > i with psi_2(x_i, x_j) > t in each row i < n - 1: a
+    square-root guess stepped, one run of tied x at a time, by psi_2 itself."""
+    n = x.size
+    j = np.searchsorted(x, x[:-1] + math.sqrt(2.0 * max(t, 0.0)), side="right")
+    np.maximum(j, np.arange(1, n), out=j)
+    i = np.arange(n - 1)
+    while i.size:  # step down while the column before j is above t
+        i = i[(j[i] > i + 1) & (_psi2(x[i] - x[j[i] - 1]) > t)]
+        j[i] = np.maximum(np.searchsorted(x, x[j[i] - 1], side="left"), i + 1)
+    i = np.flatnonzero(j < n)
+    while i.size:  # step up while column j is at most t
+        i = i[_psi2(x[i] - x[j[i]]) <= t]
+        j[i] = np.searchsorted(x, x[j[i]], side="right")
+        i = i[j[i] < n]
+    return j
+
+
+def _select_pairwise(x: np.ndarray, rank: int) -> float:
+    """Entry ``rank`` of the sorted pairwise pseudo-sample (after Croux & Rousseeuw
+    1992).  Row i's columns [lo_i, hi_i) hold it; counting at and just below a
+    pivot from a strided probe of them finds it (ties too) or moves past it."""
+    n = x.size
+    pairs, rows = n * (n - 1) // 2, np.arange(n - 1)
+    lo, hi = rows + 1, np.full(n - 1, n)
+    while True:
+        size = hi - lo
+        ends = np.cumsum(size)
+        active, want = int(ends[-1]), rank + pairs - int(lo.sum())  # rank among active
+        if active <= _SELECT_GATHER * n + _SELECT_PROBE:
+            col = np.arange(active) - np.repeat(ends - size - lo, size)
+            return float(np.partition(_psi2(x[np.repeat(rows, size)] - x[col]), want)[want])
+        at = ((np.arange(_SELECT_PROBE) + 0.5) * (active / _SELECT_PROBE)).astype(np.int64)
+        row = np.searchsorted(ends, at, side="right")
+        probe = np.sort(_psi2(x[row] - x[lo[row] + at - ends[row] + size[row]]))
+        mid = want * _SELECT_PROBE // active
+        for p in np.unique(probe[[max(mid - _SELECT_SPREAD, 0),
+                                  min(mid + _SELECT_SPREAD, _SELECT_PROBE - 1)]]):
+            le = _pairwise_bounds(x, p)
+            if le.sum() - pairs <= rank:
+                np.maximum(lo, le, out=lo)
+                continue
+            lt = _pairwise_bounds(x, np.nextafter(p, -np.inf))
+            if lt.sum() - pairs <= rank:
+                return float(p)
+            np.minimum(hi, lt, out=hi)
+
+
+def _square_sums(x: np.ndarray, start: np.ndarray, stop: np.ndarray) -> float:
+    """Sum over rows i of (x_j - x_i)^2, start_i <= j < stop_i.  Level p of a
+    binary-lifting table sums x_j - x_s and (x_j - x_s)^2 over 2^p entries from
+    each s; rows shift blocks to x_(start_i), then x_i: no term is negative."""
+    row = np.flatnonzero(stop > start)
+    start, size = start[row], (stop - start)[row]
+    t1, t2 = [np.zeros(x.size)], [np.zeros(x.size)]
+    while size.size and 2 ** len(t1) <= size.max():
+        h = 2 ** (len(t1) - 1)
+        a1, a2 = t1[-1], t2[-1]
+        d = x[h:a1.size] - x[:a1.size - h]  # upper half's first entry over s
+        t1.append(a1[:-h] + a1[h:] + h * d)
+        t2.append(a2[:-h] + a2[h:] + 2.0 * d * a1[h:] + h * d * d)
+    s1, s2, at = np.zeros(row.size), np.zeros(row.size), start.copy()
+    for p in reversed(range(len(t1))):
+        sel = np.flatnonzero(size >> p & 1)
+        s = at[sel]
+        u, b1 = x[s] - x[start[sel]], t1[p][s]
+        s2[sel] += t2[p][s] + 2.0 * u * b1 + 2**p * u * u
+        s1[sel] += b1 + 2**p * u
+        at[sel] += 2**p
+    u = x[start] - x[row]
+    return float(np.sum(s2 + 2.0 * u * s1 + size * u * u))
+
+
+def _pairwise_window(sample, k: int, trim: TrimSpec, kind: str, plan: PseudoPlan):
+    """(value, C(n, 2)) of an exact k = 2 trimmed mean or median, or None to build.
+
+    Selects above _PAIRWISE_CROSSOVER pairs, within the budget, raising the
+    build path's errors in its order.  Trimmed means count the ties at both
+    cut values and sum the entries strictly between them.
+    """
+    if _check_order(k) != 2 or kind == "weighted" or not isinstance(plan, ExactPlan):
+        return None
+    x = np.sort(_checked_sample(sample, 2))
+    pairs = x.size * (x.size - 1) // 2
+    if not _PAIRWISE_CROSSOVER < pairs <= plan.budget:
+        return None
+    if not math.isfinite(_psi2(x[0] - x[-1])):
+        raise ArgumentError("pairwise kernel values overflow; the sample's range is too wide")
+    lo, hi = retained_window(pairs, trim)
+    m = hi - lo
+    if kind == "median":
+        a = _select_pairwise(x, lo + (m - 1) // 2)
+        return (a if m % 2 else 0.5 * (a + _select_pairwise(x, lo + m // 2))), pairs
+    t_lo, t_hi = _select_pairwise(x, lo), _select_pairwise(x, hi - 1)
+    if t_lo == t_hi:
+        return t_lo, pairs
+    above = _pairwise_bounds(x, t_lo)  # first column > t_lo
+    below = _pairwise_bounds(x, np.nextafter(t_hi, -np.inf))  # first column >= t_hi
+    ties = (above.sum() - pairs - lo) * t_lo + (hi + pairs - below.sum()) * t_hi
+    return float(ties + 0.5 * _square_sums(x, above, below)) / m, pairs

@@ -199,6 +199,23 @@ class TestVerify:
         assert code in (0, 5)  # property honestly evaluated at small R
         assert len(rec["ratio"]) == 2
 
+    def test_n_list_not_integers_is_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["verify", "variance-dominance", "--n-list", "16,x", "--replications", "2"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "16,x" in err
+
+    @pytest.mark.parametrize("experiment", ["pairwise-shape", "kernel-shape"])
+    def test_zero_bins_is_domain_error(self, capsys, experiment):
+        code, out, err = run_cli(
+            capsys, ["verify", experiment, "--n-draws", "100", "--bins", "0"]
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "bins" in err
+
     def test_kernel_shape_small(self, capsys):
         code, out, _ = run_cli(
             capsys,

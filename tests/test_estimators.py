@@ -1,6 +1,7 @@
 """Estimator-level contracts: unbiased limits, identities, robustness."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,12 +9,16 @@ import pytest
 
 from hlmoments import (
     ArgumentError,
+    CapacityError,
     DegenerateSampleError,
     DegenerateTrimError,
+    ExactPlan,
     LEstimatorSpec,
     MomentEstimate,
     MonteCarloPlan,
     TrimSpec,
+    apply_lestimator,
+    build_pseudosample,
     h_statistic,
     hl_central_moment,
     hl_standardized_moment,
@@ -22,6 +27,7 @@ from hlmoments import (
     trimmed_sd_symmetric,
 )
 
+from hlmoments import estimators, pseudosample
 from oracles import exact_u_statistic
 
 
@@ -246,3 +252,154 @@ class TestRobustnessSmoke:
         scale = abs(clean) + 1.0
         assert abs(robust - clean) < 10.0 * scale
         assert abs(raw) > 1e6 * scale
+
+
+# above pseudosample._PAIRWISE_CROSSOVER pairs, exact k = 2 trimmed means and
+# medians are selected from the sorted sample instead of built
+N_SELECTED = 300
+assert math.comb(N_SELECTED, 2) > pseudosample._PAIRWISE_CROSSOVER
+assert math.comb(240, 2) <= pseudosample._PAIRWISE_CROSSOVER
+
+PAIRWISE_TRIMS = [(0.0, 1.0), (0.1, 1.0), (0.1, 0.0), (0.4, 1.0), (0.9, 0.0), (0.3, 2.0),
+                  (0.6, 0.5)]
+
+
+def _pairwise_samples(n, seed):
+    rng = np.random.default_rng(seed)
+    return {
+        "normal": rng.normal(size=n),
+        "cauchy": rng.standard_cauchy(size=n),
+        "lognormal": rng.lognormal(0.0, 3.0, size=n),
+        "integer-ties": rng.integers(-3, 4, size=n).astype(float),
+        "gamma-quarters": np.round(rng.gamma(2.0, 1.0, size=n) * 4.0) / 4.0,
+    }
+
+
+class TestPairwiseSelection:
+    @pytest.mark.parametrize("kind", ["normal", "cauchy", "lognormal", "integer-ties",
+                                      "gamma-quarters"])
+    @pytest.mark.parametrize("n", [7, 240, N_SELECTED, 2000])
+    def test_agrees_with_built_pseudosample(self, monkeypatch, kind, n):
+        # selection forced at every n; the built path is the reference
+        monkeypatch.setattr(pseudosample, "_PAIRWISE_CROSSOVER", 0)
+        for shift in (0.0, 1e4, -1e4):
+            x = _pairwise_samples(n, n)[kind] + shift
+            built = build_pseudosample(x, 2)
+            xs = np.sort(x)
+            for eps0, gamma in PAIRWISE_TRIMS:
+                trim = TrimSpec(eps0, gamma)
+                try:
+                    lo, hi = pseudosample.retained_window(built.size, trim)
+                except DegenerateTrimError:
+                    continue
+                for r in (lo, hi - 1):  # both cut values, bit for bit
+                    assert pseudosample._select_pairwise(xs, r) == built[r], (shift, trim, r)
+                for est in (LEstimatorSpec.trimmed_mean(), LEstimatorSpec.median()):
+                    got = hl_central_moment(x, 2, trim, est).value
+                    want = apply_lestimator(est, built, trim)
+                    if est.kind == "median":
+                        assert got == want, (shift, trim)
+                    else:
+                        assert abs(got - want) <= 1e-13 * abs(want), (shift, trim)
+
+    def test_large_samples_skip_the_build(self, monkeypatch):
+        x = np.random.default_rng(3).normal(size=N_SELECTED)
+        want = trimmed_sd_pairwise(x, eps0=0.1).value
+        calls = []
+        monkeypatch.setattr(
+            estimators, "build_pseudosample",
+            lambda *a: calls.append(a) or build_pseudosample(*a),
+        )
+        assert trimmed_sd_pairwise(x, eps0=0.1).value == want
+        est = hl_central_moment(x, 2, TrimSpec(0.2), LEstimatorSpec.median())
+        assert est.pseudo_n == math.comb(N_SELECTED, 2)
+        hl_standardized_moment(x, 3, TrimSpec(0.1))
+        assert [a[1] for a in calls] == [3]  # only the numerator is built
+        hl_central_moment(x, 2, plan=MonteCarloPlan(draws=1000, seed=1))
+        hl_central_moment(x, 2, estimator=LEstimatorSpec.weighted(lambda m: np.full(m, 1 / m)))
+        trimmed_sd_pairwise(x[:240], eps0=0.1)
+        assert len(calls) == 4
+
+    def test_untrimmed_is_exact_under_location_shift(self):
+        # multiples of 2^-20 below 64 stay exact under these shifts, so every
+        # shifted estimate has the unshifted sample's exact U-statistic; their
+        # squares do not fit in a double once shifted, so sums of x and x^2
+        # would cancel
+        x = np.round(np.random.default_rng(32).gamma(2.0, 1.0, N_SELECTED) * 2**20) / 2**20
+        want = float(exact_u_statistic([Fraction(v) for v in x], 2))
+        for shift in (0.0, 1e2, 1e3, 1e4):
+            got = hl_central_moment(x + shift, 2).value
+            assert abs(got - want) <= 1e-12 * abs(want), shift
+
+    @pytest.mark.parametrize("n, limit", [(3000, 4 << 20), (10_000, 8 << 20)])
+    def test_memory_does_not_grow_with_the_pairs(self, n, limit):
+        # the built path held C(n, 2) doubles: 34 MiB at n = 3000
+        x = np.random.default_rng(4).normal(size=n)
+        trimmed_sd_pairwise(x[:N_SELECTED], eps0=0.1)  # warm caches
+        tracemalloc.start()
+        try:
+            est = trimmed_sd_pairwise(x, eps0=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert est.pseudo_n == math.comb(n, 2)
+        assert peak <= limit
+
+    @pytest.mark.parametrize("n", [3, N_SELECTED])
+    @pytest.mark.parametrize("big", [1e308, 1e160])
+    def test_overflowing_differences_raise_argument_error(self, n, big):
+        # x_j - x_i overflows at 1e308, its square at 1e160; either way the
+        # error comes before the (here degenerate) trim window is checked
+        degenerate = TrimSpec(0.999999, 0.0)
+        with np.errstate(all="ignore"):
+            x = np.linspace(-1.0, 1.0, n) * big
+            for trim in (TrimSpec(), TrimSpec(0.1), degenerate):
+                with pytest.raises(ArgumentError):
+                    hl_central_moment(x, 2, trim)
+                with pytest.raises(ArgumentError):
+                    hl_central_moment(x, 2, trim, LEstimatorSpec.median())
+                with pytest.raises(ArgumentError):
+                    trimmed_sd_pairwise(x, trim.eps0, trim.gamma)
+            with pytest.raises(ArgumentError):
+                hl_standardized_moment(x, 3)
+
+    @pytest.mark.parametrize("n", [100, N_SELECTED])
+    def test_contract_errors(self, n):
+        x = np.random.default_rng(5).normal(size=n)
+        with pytest.raises(CapacityError):
+            trimmed_sd_pairwise(x, 0.1, plan=ExactPlan(budget=math.comb(n, 2) - 1))
+        with pytest.raises(CapacityError):
+            hl_central_moment(x, 2, TrimSpec(0.1), plan=ExactPlan(budget=math.comb(n, 2) - 1))
+        with pytest.raises(DegenerateTrimError):
+            hl_central_moment(x, 2, TrimSpec(0.999999, 0.0))
+        with pytest.raises(DegenerateTrimError):
+            trimmed_sd_pairwise(x, 0.999999, 0.0)
+        with pytest.raises(ArgumentError):
+            hl_central_moment(x[:1], 2)
+        with pytest.raises(ArgumentError):
+            hl_central_moment(x, 2.0)
+
+    @pytest.mark.parametrize("n", [100, N_SELECTED])
+    def test_chunk_does_not_change_results(self, n):
+        x = np.random.default_rng(6).gamma(2.0, 1.0, size=n)
+
+        def results(plan):
+            return [
+                trimmed_sd_pairwise(x, 0.1, plan=plan).value,
+                hl_central_moment(x, 2, TrimSpec(0.2, 0.5), plan=plan).value,
+                hl_central_moment(x, 2, TrimSpec(0.1), LEstimatorSpec.median(), plan).value,
+                hl_standardized_moment(x[:40], 3, TrimSpec(0.1), plan=plan).value,
+            ]
+
+        want = results(ExactPlan())
+        for chunk in (7, 4096):
+            assert results(ExactPlan(chunk=chunk)) == want, chunk
+
+    @pytest.mark.parametrize("sample", [["a", "b", "c"], [1.0, {}, 2.0], [[1.0], [2.0, 3.0]]])
+    def test_non_numeric_sample_is_argument_error(self, sample):
+        with pytest.raises(ArgumentError):
+            hl_central_moment(sample, 2)
+        with pytest.raises(ArgumentError):
+            trimmed_sd_pairwise(sample)
+        with pytest.raises(ArgumentError):
+            build_pseudosample(sample, 2)

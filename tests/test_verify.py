@@ -91,6 +91,11 @@ class TestPairwiseDiffProbe:
             probe = pairwise_diff_probe(f, n_draws=200_000, seed=3, bins=40)
             assert probe.monotonicity >= 0.9
 
+    @pytest.mark.parametrize("bins", [0, -3, 2.5, "10"])
+    def test_bins_must_be_a_positive_integer(self, bins):
+        with pytest.raises(ArgumentError):
+            pairwise_diff_probe(normal(0.0, 1.0), n_draws=1000, bins=bins)
+
 
 class TestKernelShapeProbe:
     def test_deterministic_and_valid(self):
@@ -118,6 +123,11 @@ class TestKernelShapeProbe:
     def test_k_restricted(self):
         with pytest.raises(ArgumentError):
             kernel_shape_probe(normal(0.0, 1.0), 5, n_draws=1000)
+
+    @pytest.mark.parametrize("bins", [0, -3, 2.5, "10"])
+    def test_bins_must_be_a_positive_integer(self, bins):
+        with pytest.raises(ArgumentError):
+            kernel_shape_probe(normal(0.0, 1.0), 3, n_draws=1000, bins=bins)
 
 
 class TestVarianceComparison:
