@@ -270,8 +270,7 @@ def _add_plan_args(p: argparse.ArgumentParser, default_budget: int) -> None:
     p.add_argument("--plan-seed", type=int, default=0, help="Monte Carlo seed")
     p.add_argument(
         "--budget", type=int, default=default_budget,
-        help=f"exact-mode cap on C(n, k), also for k = 2 trimmed means and medians, "
-        f"which do not build the pairs (env {_BUDGET_ENV})",
+        help=f"exact-mode cap on C(n, k), even where k = 2 pairs are not built (env {_BUDGET_ENV})",
     )
     p.add_argument(
         "--chunk", type=int, default=1 << 18,

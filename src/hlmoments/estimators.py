@@ -24,7 +24,7 @@ Two trimmed standard deviations are provided for comparison:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -36,7 +36,7 @@ from .lstat import (
     _snap,
     apply_lestimator,
     breakdown_from_trim,
-    trimmed_mean,
+    trimmed_mean,  # unused here, but perfbench/spans.py wraps estimators.trimmed_mean
 )
 from .pseudosample import (
     ExactPlan, MonteCarloPlan, PseudoPlan, _checked_sample, _pairwise_window, build_pseudosample,
@@ -81,20 +81,7 @@ def _plan_seed(plan: PseudoPlan) -> Optional[int]:
     return plan.seed if isinstance(plan, MonteCarloPlan) else None
 
 
-def hl_central_moment(
-    sample,
-    k: int,
-    trim: TrimSpec = TrimSpec(),
-    estimator: LEstimatorSpec = LEstimatorSpec.trimmed_mean(),
-    plan: PseudoPlan = ExactPlan(),
-) -> MomentEstimate:
-    """L-estimate of the kth central moment from the kernel pseudo-sample.
-
-    With ``trim.eps0 = 0`` and the trimmed-mean estimator this equals the
-    U-statistic, the minimum-variance unbiased estimator of the kth central
-    moment.  Exact k = 2 trimmed means and medians of large samples hold
-    O(n log n), not the C(n, 2) pseudo-sample, which ``plan.budget`` still caps.
-    """
+def _estimate(sample, k, trim, estimator, plan, method) -> MomentEstimate:
     selected = _pairwise_window(sample, k, trim, estimator.kind, plan)
     if selected is None:
         pseudo = build_pseudosample(sample, k, plan)
@@ -108,9 +95,26 @@ def hl_central_moment(
         eps=breakdown_from_trim(trim.eps0, int(k)),
         n=int(np.asarray(sample).size),
         pseudo_n=int(pseudo_n),
-        method=f"hl-central-moment/{estimator.kind}",
+        method=method,
         seed=_plan_seed(plan),
     )
+
+
+def hl_central_moment(
+    sample,
+    k: int,
+    trim: TrimSpec = TrimSpec(),
+    estimator: LEstimatorSpec = LEstimatorSpec.trimmed_mean(),
+    plan: PseudoPlan = ExactPlan(),
+) -> MomentEstimate:
+    """L-estimate of the kth central moment from the kernel pseudo-sample.
+
+    With ``trim.eps0 = 0`` and the trimmed-mean estimator this equals the
+    U-statistic, the minimum-variance unbiased estimator of the kth central
+    moment.  Exact k = 2 trimmed means and medians hold O(n log n), not the
+    C(n, 2) pseudo-sample, which ``plan.budget`` still caps.
+    """
+    return _estimate(sample, k, trim, estimator, plan, f"hl-central-moment/{estimator.kind}")
 
 
 def hl_standardized_moment(
@@ -138,17 +142,8 @@ def hl_standardized_moment(
         raise DegenerateSampleError(
             f"variance estimate {den.value} is not positive; sample is degenerate"
         )
-    return MomentEstimate(
-        value=num.value / den.value ** (k / 2.0),
-        k=int(k),
-        eps0=trim.eps0,
-        gamma=trim.gamma,
-        eps=min(num.eps, den.eps),
-        n=num.n,
-        pseudo_n=num.pseudo_n,
-        method=f"hl-standardized-moment/{estimator.kind}",
-        seed=_plan_seed(plan),
-    )
+    return replace(num, value=num.value / den.value ** (k / 2.0), eps=min(num.eps, den.eps),
+                   method=f"hl-standardized-moment/{estimator.kind}")
 
 
 def trimmed_sd_pairwise(
@@ -160,26 +155,12 @@ def trimmed_sd_pairwise(
     """Trimmed SD from the sorted pairwise kernel values (x_i - x_j)^2 / 2.
 
     With eps0 = 0 this equals the Bessel-corrected sample standard
-    deviation to floating-point accuracy.  Exact plans on large samples hold
-    O(n log n), not the C(n, 2) pairs, which ``plan.budget`` still caps.
+    deviation to floating-point accuracy.  Exact plans hold O(n log n), not
+    the C(n, 2) pairs, which ``plan.budget`` still caps.
     """
     trim = TrimSpec(eps0=eps0, gamma=gamma)
-    selected = _pairwise_window(sample, 2, trim, "trimmed-mean", plan)
-    if selected is None:
-        pseudo = build_pseudosample(sample, 2, plan)
-        selected = trimmed_mean(pseudo, trim), pseudo.size
-    mean, pseudo_n = selected
-    return MomentEstimate(
-        value=math.sqrt(mean),
-        k=2,
-        eps0=trim.eps0,
-        gamma=trim.gamma,
-        eps=breakdown_from_trim(trim.eps0, 2),
-        n=int(np.asarray(sample).size),
-        pseudo_n=int(pseudo_n),
-        method="trimmed-sd-pairwise",
-        seed=_plan_seed(plan),
-    )
+    est = _estimate(sample, 2, trim, LEstimatorSpec.trimmed_mean(), plan, "trimmed-sd-pairwise")
+    return replace(est, value=math.sqrt(est.value))
 
 
 def trimmed_sd_symmetric(sample, eps: float = 0.0) -> MomentEstimate:

@@ -27,10 +27,9 @@ definition above: sum_i x_i^(k-j) e_j(x without i) expands to
 sum_m (-1)^m e_(j-m) p_(k-j+m), and Newton's identities turn each elementary
 symmetric polynomial e_r into power sums with p_1 = 0.  Centring keeps every
 term at the scale of the tuple's spread, so a location offset costs no
-accuracy.  ``kernel_values`` evaluates rows as given (k = 2 by ``_psi2``, the
-one float expression that pairwise selection in ``pseudosample`` shares, so
-both agree bit for bit); ``central_moment_kernel`` sorts each tuple first, so
-it is exactly (bit for bit) permutation invariant.
+accuracy.  ``kernel_values`` evaluates rows as given (k = 2 by ``_psi2``, which
+pairwise selection shares, so both agree bit for bit); ``central_moment_kernel``
+sorts each tuple first, so it is exactly (bit for bit) permutation invariant.
 """
 
 from __future__ import annotations

@@ -9,9 +9,6 @@ so the result depends only on (sample, draws, seed) and never on the plan's
 
 The returned pseudo-sample is sorted ascending with -0.0 normalized to +0.0,
 making it bit-reproducible.
-
-Exact k = 2 trimmed means and medians of large samples are selected from the
-sorted sample in O(n log n) instead, never holding the pairs (``_pairwise_window``).
 """
 
 from __future__ import annotations
@@ -55,11 +52,9 @@ _MC_BLOCK = 1 << 18
 _MAX_UINT64 = 2**64 - 1
 _MAX_INT64 = 2**63 - 1
 
-# Above this many pairs selecting beats building (measured).  Selection probes
-# 4096 cells a round, pivots two binomial standard deviations either side of
-# the target, and partitions once at most 16 n + 4096 cells remain.
-_PAIRWISE_CROSSOVER = 30_000
-_SELECT_PROBE, _SELECT_SPREAD, _SELECT_GATHER = 4096, 64, 16
+# Pairwise selection probes 4096 cells a round, pivots two binomial SDs either
+# side of the target, and partitions once at most max(16 n, 32768) cells remain.
+_SELECT_PROBE, _SELECT_PIVOTS, _SELECT_GATHER, _SELECT_HOLD = 4096, np.array([-64, 64]), 16, 1 << 15
 
 
 @dataclass(frozen=True)
@@ -292,19 +287,26 @@ def build_pseudosample(sample, k: int, plan: PseudoPlan = ExactPlan()) -> np.nda
 def _pairwise_bounds(x: np.ndarray, t: float) -> np.ndarray:
     """First column j > i with psi_2(x_i, x_j) > t in each row i < n - 1: a
     square-root guess stepped, one run of tied x at a time, by psi_2 itself."""
-    n = x.size
     j = np.searchsorted(x, x[:-1] + math.sqrt(2.0 * max(t, 0.0)), side="right")
-    np.maximum(j, np.arange(1, n), out=j)
-    i = np.arange(n - 1)
+    np.maximum(j, np.arange(1, x.size), out=j)
+    i = np.arange(x.size - 1)
     while i.size:  # step down while the column before j is above t
         i = i[(j[i] > i + 1) & (_psi2(x[i] - x[j[i] - 1]) > t)]
         j[i] = np.maximum(np.searchsorted(x, x[j[i] - 1], side="left"), i + 1)
-    i = np.flatnonzero(j < n)
+    i = np.flatnonzero(j < x.size)
     while i.size:  # step up while column j is at most t
         i = i[_psi2(x[i] - x[j[i]]) <= t]
         j[i] = np.searchsorted(x, x[j[i]], side="right")
-        i = i[j[i] < n]
+        i = i[j[i] < x.size]
     return j
+
+
+def _pairwise_cells(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """psi_2(x_i, x_j) over row i's columns lo_i <= j < hi_i, row by row."""
+    size = hi - lo
+    ends = np.cumsum(size)
+    col = np.arange(ends[-1]) - np.repeat(ends - size - lo, size)
+    return _psi2(x[np.repeat(np.arange(size.size), size)] - x[col])
 
 
 def _select_pairwise(x: np.ndarray, rank: int) -> float:
@@ -312,21 +314,18 @@ def _select_pairwise(x: np.ndarray, rank: int) -> float:
     1992).  Row i's columns [lo_i, hi_i) hold it; counting at and just below a
     pivot from a strided probe of them finds it (ties too) or moves past it."""
     n = x.size
-    pairs, rows = n * (n - 1) // 2, np.arange(n - 1)
-    lo, hi = rows + 1, np.full(n - 1, n)
+    pairs, lo, hi = n * (n - 1) // 2, np.arange(1, n), np.full(n - 1, n)
     while True:
         size = hi - lo
         ends = np.cumsum(size)
         active, want = int(ends[-1]), rank + pairs - int(lo.sum())  # rank among active
-        if active <= _SELECT_GATHER * n + _SELECT_PROBE:
-            col = np.arange(active) - np.repeat(ends - size - lo, size)
-            return float(np.partition(_psi2(x[np.repeat(rows, size)] - x[col]), want)[want])
+        if active <= max(_SELECT_GATHER * n, _SELECT_HOLD):
+            return float(np.partition(_pairwise_cells(x, lo, hi), want)[want])
         at = ((np.arange(_SELECT_PROBE) + 0.5) * (active / _SELECT_PROBE)).astype(np.int64)
         row = np.searchsorted(ends, at, side="right")
         probe = np.sort(_psi2(x[row] - x[lo[row] + at - ends[row] + size[row]]))
-        mid = want * _SELECT_PROBE // active
-        for p in np.unique(probe[[max(mid - _SELECT_SPREAD, 0),
-                                  min(mid + _SELECT_SPREAD, _SELECT_PROBE - 1)]]):
+        pick = np.clip(want * _SELECT_PROBE // active + _SELECT_PIVOTS, 0, _SELECT_PROBE - 1)
+        for p in np.unique(probe[pick]):
             le = _pairwise_bounds(x, p)
             if le.sum() - pairs <= rank:
                 np.maximum(lo, le, out=lo)
@@ -363,28 +362,31 @@ def _square_sums(x: np.ndarray, start: np.ndarray, stop: np.ndarray) -> float:
 
 
 def _pairwise_window(sample, k: int, trim: TrimSpec, kind: str, plan: PseudoPlan):
-    """(value, C(n, 2)) of an exact k = 2 trimmed mean or median, or None to build.
-
-    Selects above _PAIRWISE_CROSSOVER pairs, within the budget, raising the
-    build path's errors in its order.  Trimmed means count the ties at both
-    cut values and sum the entries strictly between them.
-    """
+    """(value, C(n, 2)) of an exact k = 2 trimmed mean or median in the budget, or None
+    to build, raising the build's errors in its order.  Few pairs are partitioned at both
+    cuts; else each is selected, and a mean adds the ties at both to the sum between."""
     if _check_order(k) != 2 or kind == "weighted" or not isinstance(plan, ExactPlan):
         return None
-    x = np.sort(_checked_sample(sample, 2))
-    pairs = x.size * (x.size - 1) // 2
-    if not _PAIRWISE_CROSSOVER < pairs <= plan.budget:
+    x = _checked_sample(sample, 2)
+    n, pairs = x.size, x.size * (x.size - 1) // 2
+    if pairs > plan.budget:
         return None
+    x = np.sort(x)
     if not math.isfinite(_psi2(x[0] - x[-1])):
         raise ArgumentError("pairwise kernel values overflow; the sample's range is too wide")
     lo, hi = retained_window(pairs, trim)
     m = hi - lo
-    if kind == "median":
-        a = _select_pairwise(x, lo + (m - 1) // 2)
-        return (a if m % 2 else 0.5 * (a + _select_pairwise(x, lo + m // 2))), pairs
-    t_lo, t_hi = _select_pairwise(x, lo), _select_pairwise(x, hi - 1)
-    if t_lo == t_hi:
-        return t_lo, pairs
+    cut = (lo + (m - 1) // 2, lo + m // 2) if kind == "median" else (lo, hi - 1)
+    if pairs <= max(_SELECT_GATHER * n, _SELECT_HOLD):
+        v = np.partition(_pairwise_cells(x, np.arange(1, n), np.full(n - 1, n)), cut)
+        t_lo, t_hi = v[cut[0]], v[cut[1]]
+        if kind != "median":
+            return float(v[lo:hi].mean()), pairs
+    else:
+        t_lo = _select_pairwise(x, cut[0])
+        t_hi = t_lo if cut[1] == cut[0] else _select_pairwise(x, cut[1])
+    if kind == "median" or t_lo == t_hi:  # an odd window's median is t_lo == t_hi
+        return float(t_lo if t_lo == t_hi else 0.5 * (t_lo + t_hi)), pairs
     above = _pairwise_bounds(x, t_lo)  # first column > t_lo
     below = _pairwise_bounds(x, np.nextafter(t_hi, -np.inf))  # first column >= t_hi
     ties = (above.sum() - pairs - lo) * t_lo + (hi + pairs - below.sum()) * t_hi

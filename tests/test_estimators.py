@@ -254,11 +254,13 @@ class TestRobustnessSmoke:
         assert abs(raw) > 1e6 * scale
 
 
-# above pseudosample._PAIRWISE_CROSSOVER pairs, exact k = 2 trimmed means and
-# medians are selected from the sorted sample instead of built
+# exact k = 2 trimmed means and medians are selected from the sorted sample
+# instead of built: up to 240 points all pairs are partitioned at once, from
+# 300 the cut values are narrowed down in rounds first
 N_SELECTED = 300
-assert math.comb(N_SELECTED, 2) > pseudosample._PAIRWISE_CROSSOVER
-assert math.comb(240, 2) <= pseudosample._PAIRWISE_CROSSOVER
+assert math.comb(N_SELECTED, 2) > max(pseudosample._SELECT_HOLD,
+                                      pseudosample._SELECT_GATHER * N_SELECTED)
+assert math.comb(240, 2) <= max(pseudosample._SELECT_HOLD, pseudosample._SELECT_GATHER * 240)
 
 PAIRWISE_TRIMS = [(0.0, 1.0), (0.1, 1.0), (0.1, 0.0), (0.4, 1.0), (0.9, 0.0), (0.3, 2.0),
                   (0.6, 0.5)]
@@ -279,9 +281,8 @@ class TestPairwiseSelection:
     @pytest.mark.parametrize("kind", ["normal", "cauchy", "lognormal", "integer-ties",
                                       "gamma-quarters"])
     @pytest.mark.parametrize("n", [7, 240, N_SELECTED, 2000])
-    def test_agrees_with_built_pseudosample(self, monkeypatch, kind, n):
-        # selection forced at every n; the built path is the reference
-        monkeypatch.setattr(pseudosample, "_PAIRWISE_CROSSOVER", 0)
+    def test_agrees_with_built_pseudosample(self, kind, n):
+        # the built pseudo-sample is the reference
         for shift in (0.0, 1e4, -1e4):
             x = _pairwise_samples(n, n)[kind] + shift
             built = build_pseudosample(x, 2)
@@ -302,8 +303,9 @@ class TestPairwiseSelection:
                     else:
                         assert abs(got - want) <= 1e-13 * abs(want), (shift, trim)
 
-    def test_large_samples_skip_the_build(self, monkeypatch):
-        x = np.random.default_rng(3).normal(size=N_SELECTED)
+    @pytest.mark.parametrize("n", [20, N_SELECTED])
+    def test_exact_plans_skip_the_build(self, monkeypatch, n):
+        x = np.random.default_rng(3).normal(size=n)
         want = trimmed_sd_pairwise(x, eps0=0.1).value
         calls = []
         monkeypatch.setattr(
@@ -312,20 +314,21 @@ class TestPairwiseSelection:
         )
         assert trimmed_sd_pairwise(x, eps0=0.1).value == want
         est = hl_central_moment(x, 2, TrimSpec(0.2), LEstimatorSpec.median())
-        assert est.pseudo_n == math.comb(N_SELECTED, 2)
+        assert est.pseudo_n == math.comb(n, 2)
         hl_standardized_moment(x, 3, TrimSpec(0.1))
         assert [a[1] for a in calls] == [3]  # only the numerator is built
         hl_central_moment(x, 2, plan=MonteCarloPlan(draws=1000, seed=1))
         hl_central_moment(x, 2, estimator=LEstimatorSpec.weighted(lambda m: np.full(m, 1 / m)))
-        trimmed_sd_pairwise(x[:240], eps0=0.1)
+        trimmed_sd_pairwise(x, plan=MonteCarloPlan(draws=1000, seed=1))
         assert len(calls) == 4
 
-    def test_untrimmed_is_exact_under_location_shift(self):
+    @pytest.mark.parametrize("n", [100, N_SELECTED])
+    def test_untrimmed_is_exact_under_location_shift(self, n):
         # multiples of 2^-20 below 64 stay exact under these shifts, so every
         # shifted estimate has the unshifted sample's exact U-statistic; their
         # squares do not fit in a double once shifted, so sums of x and x^2
         # would cancel
-        x = np.round(np.random.default_rng(32).gamma(2.0, 1.0, N_SELECTED) * 2**20) / 2**20
+        x = np.round(np.random.default_rng(32).gamma(2.0, 1.0, n) * 2**20) / 2**20
         want = float(exact_u_statistic([Fraction(v) for v in x], 2))
         for shift in (0.0, 1e2, 1e3, 1e4):
             got = hl_central_moment(x + shift, 2).value
