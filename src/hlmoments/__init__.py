@@ -10,150 +10,19 @@ with a quantile-average congruence analyzer, and a simulation harness that
 checks the distributional claims behind the construction.
 """
 
-from .errors import (
-    ArgumentError,
-    CapacityError,
-    CombinationOverflowError,
-    ConfigurationError,
-    ContractViolationError,
-    DegenerateSampleError,
-    DegenerateTrimError,
-    EstimatorError,
-    UnsupportedOrderError,
-)
-from .kernels import (
-    MAX_ORDER,
-    boundary_kernel_value,
-    central_moment_kernel,
-    kernel_support_bounds,
-    kernel_values,
-    signed_binomial_sums,
-)
-from .lstat import (
-    LEstimatorSpec,
-    TrimSpec,
-    apply_lestimator,
-    breakdown_from_trim,
-    median_sorted,
-    retained_window,
-    trim_from_breakdown,
-    trimmed_mean,
-)
-from .pseudosample import (
-    DEFAULT_BUDGET,
-    ExactPlan,
-    MonteCarloPlan,
-    build_pseudosample,
-    count_combinations,
-    rank_combination,
-    unrank_combination,
-)
-from .estimators import (
-    MomentEstimate,
-    h_statistic,
-    hl_central_moment,
-    hl_standardized_moment,
-    sample_central_moment,
-    trimmed_sd_pairwise,
-    trimmed_sd_symmetric,
-)
-from .distributions import (
-    CongruenceVerdict,
-    Family,
-    Gamma,
-    GeneralizedGaussian,
-    LogNormal,
-    Pareto,
-    Uniform,
-    Weibull,
-    congruence_check,
-    laplace,
-    lognormal_qa_sigma_derivative,
-    normal,
-    parse_family,
-    qa_partial_sign,
-    quantile_average,
-)
-from .verify import (
-    EquivarianceReport,
-    McConsistencyReport,
-    ShapeProbe,
-    SupportBoundsReport,
-    VarianceComparison,
-    equivariance_suite,
-    kernel_shape_probe,
-    mc_consistency_probe,
-    pairwise_diff_probe,
-    report_from_dict,
-    support_bound_probe,
-    variance_comparison,
-)
+from . import errors, kernels, lstat, pseudosample, estimators, distributions, verify
+from .errors import *
+from .kernels import *
+from .lstat import *
+from .pseudosample import *
+from .estimators import *
+from .distributions import *
+from .verify import *
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is the one declaration of its public names.
 __all__ = [
-    "ArgumentError",
-    "CapacityError",
-    "CombinationOverflowError",
-    "ConfigurationError",
-    "ContractViolationError",
-    "DegenerateSampleError",
-    "DegenerateTrimError",
-    "EstimatorError",
-    "UnsupportedOrderError",
-    "MAX_ORDER",
-    "boundary_kernel_value",
-    "central_moment_kernel",
-    "kernel_support_bounds",
-    "kernel_values",
-    "signed_binomial_sums",
-    "LEstimatorSpec",
-    "TrimSpec",
-    "apply_lestimator",
-    "breakdown_from_trim",
-    "median_sorted",
-    "retained_window",
-    "trim_from_breakdown",
-    "trimmed_mean",
-    "DEFAULT_BUDGET",
-    "ExactPlan",
-    "MonteCarloPlan",
-    "build_pseudosample",
-    "count_combinations",
-    "rank_combination",
-    "unrank_combination",
-    "MomentEstimate",
-    "h_statistic",
-    "hl_central_moment",
-    "hl_standardized_moment",
-    "sample_central_moment",
-    "trimmed_sd_pairwise",
-    "trimmed_sd_symmetric",
-    "CongruenceVerdict",
-    "Family",
-    "Gamma",
-    "GeneralizedGaussian",
-    "LogNormal",
-    "Pareto",
-    "Uniform",
-    "Weibull",
-    "congruence_check",
-    "laplace",
-    "lognormal_qa_sigma_derivative",
-    "normal",
-    "parse_family",
-    "qa_partial_sign",
-    "quantile_average",
-    "EquivarianceReport",
-    "McConsistencyReport",
-    "ShapeProbe",
-    "SupportBoundsReport",
-    "VarianceComparison",
-    "equivariance_suite",
-    "kernel_shape_probe",
-    "mc_consistency_probe",
-    "pairwise_diff_probe",
-    "report_from_dict",
-    "support_bound_probe",
-    "variance_comparison",
+    *errors.__all__, *kernels.__all__, *lstat.__all__, *pseudosample.__all__,
+    *estimators.__all__, *distributions.__all__, *verify.__all__,
 ]

@@ -36,7 +36,7 @@ from .estimators import (
 )
 from .distributions import congruence_check, parse_family
 from .lstat import LEstimatorSpec, TrimSpec
-from .pseudosample import DEFAULT_BUDGET, ExactPlan, MonteCarloPlan
+from .pseudosample import DEFAULT_BUDGET, DEFAULT_CHUNK, ExactPlan, MonteCarloPlan
 from . import verify as _verify
 
 __all__ = ["main"]
@@ -273,7 +273,7 @@ def _add_plan_args(p: argparse.ArgumentParser, default_budget: int) -> None:
         help=f"exact-mode cap on C(n, k), even where k = 2 pairs are not built (env {_BUDGET_ENV})",
     )
     p.add_argument(
-        "--chunk", type=int, default=1 << 18,
+        "--chunk", type=int, default=DEFAULT_CHUNK,
         help="combinations evaluated at once; memory beyond the output is O(chunk * k)",
     )
 

@@ -364,15 +364,6 @@ def quantile_average(family: Family, eps: float, gamma: float) -> float:
     return 0.5 * (family.quantile(lo) + family.quantile(1.0 - eps))
 
 
-def _perturbed(family: Family, param: str, value: float) -> Family:
-    if param not in family.param_names:
-        raise ArgumentError(
-            f"{type(family).__name__} has no parameter {param!r}; "
-            f"expected one of {family.param_names}"
-        )
-    return replace(family, **{param: value})
-
-
 def qa_partial_sign(
     family: Family,
     param: str,
@@ -388,16 +379,16 @@ def qa_partial_sign(
     difference quotient (a few ulps of the quantile magnitudes divided by
     the step), and is treated as compatible with either sign.
     """
-    theta = float(getattr(family, param, math.nan))
     if param not in family.param_names:
         raise ArgumentError(
             f"{type(family).__name__} has no parameter {param!r}; "
             f"expected one of {family.param_names}"
         )
+    theta = float(getattr(family, param))
     if h is None:
         h = max(1e-6, 1e-4 * abs(theta))
-    fp = _perturbed(family, param, theta + h)
-    fm = _perturbed(family, param, theta - h)
+    fp = replace(family, **{param: theta + h})
+    fm = replace(family, **{param: theta - h})
     est = (quantile_average(fp, eps, gamma) - quantile_average(fm, eps, gamma)) / (2.0 * h)
     qmag = max(
         abs(fp.quantile(gamma * eps)),

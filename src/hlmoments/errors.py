@@ -7,6 +7,18 @@ failures into stable exit codes.
 
 from __future__ import annotations
 
+__all__ = [
+    "ArgumentError",
+    "CapacityError",
+    "CombinationOverflowError",
+    "ConfigurationError",
+    "ContractViolationError",
+    "DegenerateSampleError",
+    "DegenerateTrimError",
+    "EstimatorError",
+    "UnsupportedOrderError",
+]
+
 
 class EstimatorError(Exception):
     """Base class for all errors raised by this package."""

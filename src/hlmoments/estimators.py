@@ -81,7 +81,12 @@ def _plan_seed(plan: PseudoPlan) -> Optional[int]:
     return plan.seed if isinstance(plan, MonteCarloPlan) else None
 
 
-def _estimate(sample, k, trim, estimator, plan, method) -> MomentEstimate:
+def _estimate(sample, k, trim, estimator, plan) -> MomentEstimate:
+    """``hl_central_moment``'s record; the other callers replace its ``method``."""
+    if not isinstance(trim, TrimSpec):
+        raise ArgumentError(f"trim must be a TrimSpec, got {trim!r}")
+    if not isinstance(estimator, LEstimatorSpec):
+        raise ArgumentError(f"estimator must be an LEstimatorSpec, got {estimator!r}")
     selected = _pairwise_window(sample, k, trim, estimator.kind, plan)
     if selected is None:
         pseudo = build_pseudosample(sample, k, plan)
@@ -95,7 +100,7 @@ def _estimate(sample, k, trim, estimator, plan, method) -> MomentEstimate:
         eps=breakdown_from_trim(trim.eps0, int(k)),
         n=int(np.asarray(sample).size),
         pseudo_n=int(pseudo_n),
-        method=method,
+        method=f"hl-central-moment/{estimator.kind}",
         seed=_plan_seed(plan),
     )
 
@@ -114,7 +119,7 @@ def hl_central_moment(
     moment.  Exact k = 2 trimmed means and medians hold O(n log n), not the
     C(n, 2) pseudo-sample, which ``plan.budget`` still caps.
     """
-    return _estimate(sample, k, trim, estimator, plan, f"hl-central-moment/{estimator.kind}")
+    return _estimate(sample, k, trim, estimator, plan)
 
 
 def hl_standardized_moment(
@@ -159,8 +164,8 @@ def trimmed_sd_pairwise(
     the C(n, 2) pairs, which ``plan.budget`` still caps.
     """
     trim = TrimSpec(eps0=eps0, gamma=gamma)
-    est = _estimate(sample, 2, trim, LEstimatorSpec.trimmed_mean(), plan, "trimmed-sd-pairwise")
-    return replace(est, value=math.sqrt(est.value))
+    est = _estimate(sample, 2, trim, LEstimatorSpec.trimmed_mean(), plan)
+    return replace(est, value=math.sqrt(est.value), method="trimmed-sd-pairwise")
 
 
 def trimmed_sd_symmetric(sample, eps: float = 0.0) -> MomentEstimate:

@@ -147,19 +147,12 @@ def trimmed_mean(sorted_values, trim: TrimSpec = TrimSpec()) -> float:
 
     With eps0 = 0 this is the plain arithmetic mean.
     """
-    arr = _checked_sorted(sorted_values)
-    lo, hi = retained_window(arr.size, trim)
-    return float(arr[lo:hi].mean())
+    return apply_lestimator(LEstimatorSpec.trimmed_mean(), sorted_values, trim)
 
 
 def median_sorted(sorted_values) -> float:
     """Median of an ascending sequence (mean of the two middles when even)."""
-    arr = _checked_sorted(sorted_values)
-    n = arr.size
-    mid = n // 2
-    if n % 2:
-        return float(arr[mid])
-    return float(0.5 * (arr[mid - 1] + arr[mid]))
+    return apply_lestimator(LEstimatorSpec.median(), sorted_values)
 
 
 def apply_lestimator(
@@ -172,7 +165,10 @@ def apply_lestimator(
     if spec.kind == "trimmed-mean":
         return float(window.mean())
     if spec.kind == "median":
-        return median_sorted(window)
+        mid = window.size // 2
+        if window.size % 2:
+            return float(window[mid])
+        return float(0.5 * (window[mid - 1] + window[mid]))
     w = np.asarray(spec.weights(window.size), dtype=np.float64)
     if w.shape != window.shape:
         raise ConfigurationError(

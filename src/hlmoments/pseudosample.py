@@ -56,6 +56,10 @@ _MAX_INT64 = 2**63 - 1
 # side of the target, and partitions once at most max(16 n, 32768) cells remain.
 _SELECT_PROBE, _SELECT_PIVOTS, _SELECT_GATHER, _SELECT_HOLD = 4096, np.array([-64, 64]), 16, 1 << 15
 
+# Finite samples whose kernel values overflow; both routes raise this after
+# evaluating with numpy's overflow and invalid-value warnings silenced.
+_OVERFLOW = "kernel values overflow; the sample's range is too wide"
+
 
 @dataclass(frozen=True)
 class ExactPlan:
@@ -274,13 +278,14 @@ def build_pseudosample(sample, k: int, plan: PseudoPlan = ExactPlan()) -> np.nda
 
     out = np.empty(total)
     start = 0
-    for rows in chunks:
-        out[start:start + rows.shape[0]] = kernel_values(rows, k)
-        start += rows.shape[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in chunks:
+            out[start:start + rows.shape[0]] = kernel_values(rows, k)
+            start += rows.shape[0]
     out += 0.0  # fold -0.0 into +0.0 so the sorted output is bit-canonical
     out.sort()
-    if np.isnan(out[-1]):  # the sort puts any NaN last
-        raise ArgumentError("kernel evaluation produced NaN; input is invalid")
+    if not (np.isfinite(out[0]) and np.isfinite(out[-1])):  # -inf first; inf, then NaN, last
+        raise ArgumentError(_OVERFLOW)
     return out
 
 
@@ -372,8 +377,9 @@ def _pairwise_window(sample, k: int, trim: TrimSpec, kind: str, plan: PseudoPlan
     if pairs > plan.budget:
         return None
     x = np.sort(x)
-    if not math.isfinite(_psi2(x[0] - x[-1])):
-        raise ArgumentError("pairwise kernel values overflow; the sample's range is too wide")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not math.isfinite(_psi2(x[0] - x[-1])):
+            raise ArgumentError(_OVERFLOW)
     lo, hi = retained_window(pairs, trim)
     m = hi - lo
     cut = (lo + (m - 1) // 2, lo + m // 2) if kind == "median" else (lo, hi - 1)

@@ -176,6 +176,25 @@ def report_from_dict(d: dict):
 # probes
 # ---------------------------------------------------------------------------
 
+def _shape_probe(kind, family, k, n_draws, seed, values, counts, edges, monotonicity):
+    """The record of a probe's draw ``values`` and its histogram."""
+    med, sigma = float(np.median(values)), float(values.std())
+    return ShapeProbe(
+        kind=kind,
+        family=family.label,
+        k=int(k),
+        n_draws=int(n_draws),
+        seed=int(seed),
+        bin_edges=tuple(float(e) for e in edges),
+        counts=tuple(int(c) for c in counts),
+        median=med,
+        sigma=sigma,
+        mode_bin=int(np.argmax(counts)),
+        monotonicity=monotonicity,
+        abs_median_over_sigma=abs(med) / sigma if sigma > 0 else math.inf,
+    )
+
+
 def pairwise_diff_probe(
     family: Family,
     n_draws: int = 10**6,
@@ -200,22 +219,7 @@ def pairwise_diff_probe(
     lo = float(np.quantile(d, tail_clip)) if tail_clip > 0 else float(d.min())
     counts, edges = np.histogram(d, bins=nbins, range=(lo, 0.0))
     mono = float(np.mean(counts[1:] >= counts[:-1]))
-    sigma = float(d.std())
-    med = float(np.median(d))
-    return ShapeProbe(
-        kind="pairwise-diff",
-        family=family.label,
-        k=2,
-        n_draws=int(n_draws),
-        seed=int(seed),
-        bin_edges=tuple(float(e) for e in edges),
-        counts=tuple(int(c) for c in counts),
-        median=med,
-        sigma=sigma,
-        mode_bin=int(np.argmax(counts)),
-        monotonicity=mono,
-        abs_median_over_sigma=abs(med) / sigma if sigma > 0 else math.inf,
-    )
+    return _shape_probe("pairwise-diff", family, 2, n_draws, seed, d, counts, edges, mono)
 
 
 def kernel_shape_probe(
@@ -239,8 +243,6 @@ def kernel_shape_probe(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     u = _open_unit(rng, (int(n_draws), k))
     v = kernel_values(np.sort(family._q(u), axis=1), k)
-    med = float(np.median(v))
-    sigma = float(v.std())
     if tail_clip > 0:
         lo, hi = np.quantile(v, [tail_clip, 1.0 - tail_clip])
     else:
@@ -251,20 +253,8 @@ def kernel_shape_probe(
     right = counts[mode:]
     mono_left = float(np.mean(left[1:] >= left[:-1])) if left.size > 1 else 1.0
     mono_right = float(np.mean(right[1:] <= right[:-1])) if right.size > 1 else 1.0
-    return ShapeProbe(
-        kind="kernel",
-        family=family.label,
-        k=int(k),
-        n_draws=int(n_draws),
-        seed=int(seed),
-        bin_edges=tuple(float(e) for e in edges),
-        counts=tuple(int(c) for c in counts),
-        median=med,
-        sigma=sigma,
-        mode_bin=mode,
-        monotonicity=min(mono_left, mono_right),
-        abs_median_over_sigma=abs(med) / sigma if sigma > 0 else math.inf,
-    )
+    return _shape_probe("kernel", family, k, n_draws, seed, v, counts, edges,
+                        min(mono_left, mono_right))
 
 
 def variance_comparison(

@@ -194,6 +194,14 @@ class TestPartialSigns:
         with pytest.raises(ArgumentError):
             qa_partial_sign(Weibull(1.0, 1.0), "rate", 0.1, 1.0)
 
+    @pytest.mark.parametrize("param", ["label", "nope"])
+    def test_parameter_checked_before_it_is_read(self, param):
+        # Weibull has a "label" attribute, but it is not a parameter
+        with pytest.raises(ArgumentError):
+            qa_partial_sign(Weibull(1.0, 1.0), param, 0.1, 1.0)
+        with pytest.raises(ArgumentError):
+            congruence_check(Weibull(1.0, 1.0), param)
+
     def test_perturbation_leaving_domain(self):
         f = Weibull(5e-7, 1.0)  # step 1e-6 pushes the shape negative
         with pytest.raises(ArgumentError):

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -406,3 +407,43 @@ class TestPairwiseSelection:
             trimmed_sd_pairwise(sample)
         with pytest.raises(ArgumentError):
             build_pseudosample(sample, 2)
+
+
+class TestSpecTypes:
+    @pytest.mark.parametrize("k", [2, 3])  # k = 2 is selected, k = 3 builds
+    def test_wrong_spec_type_is_argument_error(self, k):
+        x = [1.0, 2.0, 3.0, 5.0]
+        with pytest.raises(ArgumentError, match="TrimSpec"):
+            hl_central_moment(x, k, trim=0.1)
+        with pytest.raises(ArgumentError, match="LEstimatorSpec"):
+            hl_central_moment(x, k, estimator="median")
+
+    @pytest.mark.parametrize("wrong", [{"trim": 0.1}, {"trim_scale": 0.1}, {"estimator": "median"}])
+    def test_standardized_moment_checks_each_spec(self, wrong):
+        x = np.random.default_rng(2).normal(size=12)
+        with pytest.raises(ArgumentError):
+            hl_standardized_moment(x, 3, **wrong)
+
+
+UNIFORM_WEIGHTS = LEstimatorSpec.weighted(lambda m: np.full(m, 1.0 / m))
+OVERFLOW_ROUTES = {  # name: (k, keyword arguments); only "selected" never builds the pairs
+    "selected": (2, {}),
+    "weighted": (2, {"estimator": UNIFORM_WEIGHTS}),
+    "monte-carlo": (2, {"plan": MonteCarloPlan(draws=100, seed=1)}),
+    "k3": (3, {}),
+}
+
+
+class TestOverflow:
+    @pytest.mark.parametrize(
+        "n, route", [(n, r) for n in (3, 300) for r in OVERFLOW_ROUTES if n == 3 or r != "k3"]
+    )
+    def test_one_message_and_no_runtime_warning(self, n, route):
+        k, kwargs = OVERFLOW_ROUTES[route]
+        x = np.linspace(-1.0, 1.0, n) * 1e308
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ArgumentError) as info:
+                hl_central_moment(x, k, **kwargs)
+        assert str(info.value) == pseudosample._OVERFLOW
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -103,6 +103,20 @@ class TestApply:
             LEstimatorSpec(kind="winsorized")
 
 
+class TestOneImplementation:
+    def test_trimmed_mean_and_median_are_the_window_formulas(self):
+        rng = np.random.default_rng(8)
+        for size in (1, 2, 7, 10, 61, 200):
+            s = np.sort(rng.normal(size=size))
+            mid = size // 2
+            assert median_sorted(s) == (s[mid] if size % 2 else 0.5 * (s[mid - 1] + s[mid]))
+            assert trimmed_mean(s) == s.mean()
+        for trim in (TrimSpec(0.1), TrimSpec(0.2, 0.5), TrimSpec(0.05, 3.0)):
+            lo, hi = retained_window(s.size, trim)
+            assert trimmed_mean(s, trim) == s[lo:hi].mean()
+            assert apply_lestimator(LEstimatorSpec.median(), s, trim) == median_sorted(s[lo:hi])
+
+
 class TestWindow:
     def test_count_formula(self):
         # retained count = floor(N(1-eps0)) - ceil(N*gamma*eps0) and is >= 1
