@@ -418,7 +418,9 @@ class TestSpecTypes:
         with pytest.raises(ArgumentError, match="LEstimatorSpec"):
             hl_central_moment(x, k, estimator="median")
 
-    @pytest.mark.parametrize("wrong", [{"trim": 0.1}, {"trim_scale": 0.1}, {"estimator": "median"}])
+    @pytest.mark.parametrize(
+        "wrong", [{"trim": 0.1}, {"trim_scale": 0.1}, {"estimator": "median"}], ids=["trim", "trim_scale", "estimator"]
+    )
     def test_standardized_moment_checks_each_spec(self, wrong):
         x = np.random.default_rng(2).normal(size=12)
         with pytest.raises(ArgumentError):

@@ -111,10 +111,12 @@ class TestOneImplementation:
             mid = size // 2
             assert median_sorted(s) == (s[mid] if size % 2 else 0.5 * (s[mid - 1] + s[mid]))
             assert trimmed_mean(s) == s.mean()
-        for trim in (TrimSpec(0.1), TrimSpec(0.2, 0.5), TrimSpec(0.05, 3.0)):
-            lo, hi = retained_window(s.size, trim)
-            assert trimmed_mean(s, trim) == s[lo:hi].mean()
-            assert apply_lestimator(LEstimatorSpec.median(), s, trim) == median_sorted(s[lo:hi])
+            if size < 10:  # the trims below leave no window of the smallest sizes
+                continue
+            for trim in (TrimSpec(0.1), TrimSpec(0.2, 0.5), TrimSpec(0.05, 3.0)):
+                lo, hi = retained_window(size, trim)
+                assert trimmed_mean(s, trim) == s[lo:hi].mean()
+                assert apply_lestimator(LEstimatorSpec.median(), s, trim) == median_sorted(s[lo:hi])
 
 
 class TestWindow:
