@@ -54,19 +54,6 @@ class _InputError(Exception):
     """Input file could not be parsed."""
 
 
-def _default_budget() -> int:
-    raw = os.environ.get(_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise _InputError(f"{_BUDGET_ENV}={raw!r} is not an integer") from exc
-    if value < 1:
-        raise _InputError(f"{_BUDGET_ENV} must be positive, got {value}")
-    return value
-
-
 def _parse_family_arg(spec: str):
     # family-spec syntax problems are usage errors, not domain errors
     try:
@@ -89,15 +76,15 @@ def _read_reals(path: str) -> np.ndarray:
         text = line.strip()
         if not text:
             continue
-        tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
-        try:
-            values.extend(float(tok) for tok in tokens)
-            any_data = True
+        try:  # a whole line parses before any of it is kept
+            row = [float(tok) for tok in text.split(",") if tok.strip()]
         except ValueError:
             if not any_data and not header_seen:
                 header_seen = True  # single leading header line is allowed
                 continue
             raise _InputError(f"{path}:{lineno}: cannot parse {text!r} as reals")
+        values.extend(row)
+        any_data = True
     if not values:
         raise _InputError(f"{path}: no numeric data found")
     return np.asarray(values, dtype=np.float64)
@@ -120,9 +107,16 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def _build_plan(args):
-    if args.mode == "exact":
-        return ExactPlan(budget=args.budget, chunk=args.chunk)
-    return MonteCarloPlan(draws=args.draws, seed=args.plan_seed, chunk=args.chunk)
+    if args.mode == "monte-carlo":
+        return MonteCarloPlan(draws=args.draws, seed=args.plan_seed, chunk=args.chunk)
+    raw = os.environ.get(_BUDGET_ENV)  # checked for every exact plan, even under --budget
+    try:
+        budget = DEFAULT_BUDGET if raw is None else int(raw)
+    except ValueError as exc:
+        raise _InputError(f"{_BUDGET_ENV}={raw!r} is not an integer") from exc
+    if budget < 1:
+        raise _InputError(f"{_BUDGET_ENV} must be positive, got {budget}")
+    return ExactPlan(budget=budget if args.budget is None else args.budget, chunk=args.chunk)
 
 
 def _flatten(value):
@@ -155,18 +149,13 @@ def _emit(record: dict, args) -> None:
 def _cmd_estimate(args) -> int:
     sample = _load_sample(args)
     trim = TrimSpec(eps0=args.eps0, gamma=args.gamma)
-    estimator = (
-        LEstimatorSpec.median() if args.estimator == "median"
-        else LEstimatorSpec.trimmed_mean()
-    )
+    estimator = LEstimatorSpec(kind=args.estimator)
     plan = _build_plan(args)
     if args.standardized:
-        trim_scale = None
-        if args.eps0_scale is not None or args.gamma_scale is not None:
-            trim_scale = TrimSpec(
-                eps0=args.eps0 if args.eps0_scale is None else args.eps0_scale,
-                gamma=args.gamma if args.gamma_scale is None else args.gamma_scale,
-            )
+        trim_scale = TrimSpec(
+            eps0=args.eps0 if args.eps0_scale is None else args.eps0_scale,
+            gamma=args.gamma if args.gamma_scale is None else args.gamma_scale,
+        )
         est = hl_standardized_moment(
             sample, args.k, trim, trim_scale=trim_scale, estimator=estimator, plan=plan
         )
@@ -264,12 +253,12 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sample-seed", type=int, default=0, help="seed when drawing")
 
 
-def _add_plan_args(p: argparse.ArgumentParser, default_budget: int) -> None:
+def _add_plan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("exact", "monte-carlo"), default="exact")
     p.add_argument("--draws", type=int, default=10**6, help="Monte Carlo draw count")
     p.add_argument("--plan-seed", type=int, default=0, help="Monte Carlo seed")
     p.add_argument(
-        "--budget", type=int, default=default_budget,
+        "--budget", type=int, default=None,
         help=f"exact-mode cap on C(n, k), even where k = 2 pairs are not built (env {_BUDGET_ENV})",
     )
     p.add_argument(
@@ -278,7 +267,7 @@ def _add_plan_args(p: argparse.ArgumentParser, default_budget: int) -> None:
     )
 
 
-def _make_parser(default_budget: int) -> argparse.ArgumentParser:
+def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hlmoments",
         description="Robust central moments via trimmed kernel pseudo-samples.",
@@ -294,7 +283,7 @@ def _make_parser(default_budget: int) -> argparse.ArgumentParser:
     p_est.add_argument("--standardized", action="store_true", help="report the scale-free moment")
     p_est.add_argument("--eps0-scale", type=float, default=None, help="denominator trim (standardized)")
     p_est.add_argument("--gamma-scale", type=float, default=None, help="denominator gamma (standardized)")
-    _add_plan_args(p_est, default_budget)
+    _add_plan_args(p_est)
     _add_io_args(p_est)
     p_est.set_defaults(func=_cmd_estimate)
 
@@ -304,7 +293,7 @@ def _make_parser(default_budget: int) -> argparse.ArgumentParser:
     p_tsd.add_argument("--eps0", type=float, default=0.0, help="pairwise: upper trim fraction")
     p_tsd.add_argument("--gamma", type=float, default=1.0, help="pairwise: lower trim multiplier")
     p_tsd.add_argument("--eps", type=float, default=0.0, help="symmetric: trim fraction")
-    _add_plan_args(p_tsd, default_budget)
+    _add_plan_args(p_tsd)
     _add_io_args(p_tsd)
     p_tsd.set_defaults(func=_cmd_tsd)
 
@@ -340,12 +329,7 @@ def _make_parser(default_budget: int) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    try:
-        parser = _make_parser(_default_budget())
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    args = parser.parse_args(argv)
+    args = _make_parser().parse_args(argv)
     try:
         return args.func(args)
     except _InputError as exc:

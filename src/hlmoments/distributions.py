@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import ClassVar
 
 import numpy as np
 from scipy.special import gamma as _gamma_fn
@@ -71,8 +70,6 @@ def _finite(name: str, v) -> float:
 class Family:
     """Base class: quantile/cdf/pdf/mean plus seeded sampling."""
 
-    param_names: ClassVar[tuple[str, ...]] = ()
-
     def _q(self, p: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -102,8 +99,13 @@ class Family:
         return self._q(_open_unit(rng, int(n)))
 
     @property
+    def param_names(self) -> tuple[str, ...]:
+        """The family's parameters: the fields of its dataclass."""
+        return tuple(f.name for f in fields(self))
+
+    @property
     def label(self) -> str:
-        args = ", ".join(f"{f.name}={getattr(self, f.name):g}" for f in fields(self))
+        args = ", ".join(f"{name}={getattr(self, name):g}" for name in self.param_names)
         return f"{type(self).__name__.lower()}({args})"
 
 
@@ -113,7 +115,6 @@ class Weibull(Family):
 
     shape: float
     scale: float = 1.0
-    param_names: ClassVar[tuple[str, ...]] = ("shape", "scale")
 
     def __post_init__(self):
         _finite_pos("shape", self.shape)
@@ -143,7 +144,6 @@ class Pareto(Family):
 
     shape: float
     xm: float = 1.0
-    param_names: ClassVar[tuple[str, ...]] = ("shape", "xm")
 
     def __post_init__(self):
         _finite_pos("shape", self.shape)
@@ -174,7 +174,6 @@ class LogNormal(Family):
 
     mu: float
     sigma: float
-    param_names: ClassVar[tuple[str, ...]] = ("mu", "sigma")
 
     def __post_init__(self):
         _finite("mu", self.mu)
@@ -205,7 +204,6 @@ class Gamma(Family):
 
     shape: float
     scale: float = 1.0
-    param_names: ClassVar[tuple[str, ...]] = ("shape", "scale")
 
     def __post_init__(self):
         _finite_pos("shape", self.shape)
@@ -243,7 +241,6 @@ class GeneralizedGaussian(Family):
     mu: float
     sigma: float
     beta: float = 2.0
-    param_names: ClassVar[tuple[str, ...]] = ("mu", "sigma", "beta")
 
     def __post_init__(self):
         _finite("mu", self.mu)
@@ -275,7 +272,6 @@ class Uniform(Family):
 
     a: float = 0.0
     b: float = 1.0
-    param_names: ClassVar[tuple[str, ...]] = ("a", "b")
 
     def __post_init__(self):
         _finite("a", self.a)

@@ -33,13 +33,15 @@ from .errors import ArgumentError, DegenerateSampleError, DegenerateTrimError
 from .lstat import (
     LEstimatorSpec,
     TrimSpec,
+    _check_fraction,
     _snap,
     apply_lestimator,
     breakdown_from_trim,
     trimmed_mean,  # unused here, but perfbench/spans.py wraps estimators.trimmed_mean
 )
 from .pseudosample import (
-    ExactPlan, MonteCarloPlan, PseudoPlan, _checked_sample, _pairwise_window, build_pseudosample,
+    ExactPlan, MonteCarloPlan, PseudoPlan, _checked_sample, _pairwise_window, _sorted_sample,
+    build_pseudosample,
 )
 from .records import Record
 
@@ -77,21 +79,18 @@ class MomentEstimate(Record):
     seed: Optional[int] = None
 
 
-def _plan_seed(plan: PseudoPlan) -> Optional[int]:
-    return plan.seed if isinstance(plan, MonteCarloPlan) else None
-
-
 def _estimate(sample, k, trim, estimator, plan) -> MomentEstimate:
     """``hl_central_moment``'s record; the other callers replace its ``method``."""
     if not isinstance(trim, TrimSpec):
         raise ArgumentError(f"trim must be a TrimSpec, got {trim!r}")
     if not isinstance(estimator, LEstimatorSpec):
         raise ArgumentError(f"estimator must be an LEstimatorSpec, got {estimator!r}")
-    selected = _pairwise_window(sample, k, trim, estimator.kind, plan)
-    if selected is None:
+    if k == 2 and estimator.kind != "weighted" and isinstance(plan, ExactPlan):
+        _, x, pseudo_n = _sorted_sample(sample, k, plan)
+        value = _pairwise_window(x, trim, estimator.kind)
+    else:
         pseudo = build_pseudosample(sample, k, plan)
-        selected = apply_lestimator(estimator, pseudo, trim), pseudo.size
-    value, pseudo_n = selected
+        value, pseudo_n = apply_lestimator(estimator, pseudo, trim), pseudo.size
     return MomentEstimate(
         value=value,
         k=int(k),
@@ -101,7 +100,7 @@ def _estimate(sample, k, trim, estimator, plan) -> MomentEstimate:
         n=int(np.asarray(sample).size),
         pseudo_n=int(pseudo_n),
         method=f"hl-central-moment/{estimator.kind}",
-        seed=_plan_seed(plan),
+        seed=plan.seed if isinstance(plan, MonteCarloPlan) else None,
     )
 
 
@@ -176,10 +175,7 @@ def trimmed_sd_symmetric(sample, eps: float = 0.0) -> MomentEstimate:
     the actual number of retained terms, which matches n(1/2 - eps) whenever
     the cut points are integral.
     """
-    if not (isinstance(eps, (int, float)) and math.isfinite(eps)):
-        raise ArgumentError(f"eps must be a finite real, got {eps!r}")
-    if not 0.0 <= eps < 0.5:
-        raise ArgumentError(f"eps must lie in [0, 0.5), got {eps}")
+    _check_fraction("eps", eps, 0.5)
     xs = np.sort(_checked_sample(sample, 2))
     n = xs.size
     lo = n // 2 + 1

@@ -46,10 +46,22 @@ __all__ = [
 ]
 
 
+# Finite samples whose kernel values, or their means, overflow: every route raises
+# this after evaluating with numpy's overflow and invalid-value warnings silenced.
+_OVERFLOW = "kernel values overflow; the sample's range is too wide"
+
+
 def _snap(x: float, tol: float = 1e-9) -> float:
     # Guards ceil/floor against float noise when N*eps0 is meant to be integral.
     r = round(x)
     return float(r) if abs(x - r) <= tol * max(1.0, abs(x)) else x
+
+
+def _check_fraction(name: str, value, upper: float) -> None:
+    if not (isinstance(value, (int, float)) and math.isfinite(value)):
+        raise ArgumentError(f"{name} must be a finite real, got {value!r}")
+    if not 0.0 <= value < upper:
+        raise ArgumentError(f"{name} must lie in [0, {upper:g}), got {value}")
 
 
 @dataclass(frozen=True)
@@ -60,12 +72,9 @@ class TrimSpec:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.eps0, (int, float)) and math.isfinite(self.eps0)):
-            raise ArgumentError(f"eps0 must be a finite real, got {self.eps0!r}")
+        _check_fraction("eps0", self.eps0, 1.0)
         if not (isinstance(self.gamma, (int, float)) and math.isfinite(self.gamma)):
             raise ArgumentError(f"gamma must be a finite real, got {self.gamma!r}")
-        if not 0.0 <= self.eps0 < 1.0:
-            raise ArgumentError(f"eps0 must lie in [0, 1), got {self.eps0}")
         if self.gamma < 0.0:
             raise ArgumentError(f"gamma must be >= 0, got {self.gamma}")
         if self.gamma * self.eps0 + self.eps0 >= 1.0:
@@ -142,6 +151,19 @@ def _checked_sorted(values) -> np.ndarray:
     return arr
 
 
+def _midpoint(a, b) -> float:
+    """(a + b) / 2 of finite a and b, halving each first only where a + b overflows."""
+    mid = 0.5 * (float(a) + float(b))
+    return mid if math.isfinite(mid) else 0.5 * float(a) + 0.5 * float(b)
+
+
+def _unscaled(value: float, e: int) -> float:
+    """value * 2^e, which must be a double.  Power-of-two scaling is exact."""
+    if not math.isfinite(value := value * 2.0**e):
+        raise ArgumentError(_OVERFLOW)
+    return value
+
+
 def trimmed_mean(sorted_values, trim: TrimSpec = TrimSpec()) -> float:
     """Mean of the retained window of an ascending sequence.
 
@@ -163,12 +185,12 @@ def apply_lestimator(
     lo, hi = retained_window(arr.size, trim)
     window = arr[lo:hi]
     if spec.kind == "trimmed-mean":
-        return float(window.mean())
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(window.mean())
+        e = window.size.bit_length()  # an overflowing sum is taken again on window * 2^-e
+        return mean if math.isfinite(mean) else _unscaled(float((window * 2.0**-e).mean()), e)
     if spec.kind == "median":
-        mid = window.size // 2
-        if window.size % 2:
-            return float(window[mid])
-        return float(0.5 * (window[mid - 1] + window[mid]))
+        return _midpoint(window[(window.size - 1) // 2], window[window.size // 2])
     w = np.asarray(spec.weights(window.size), dtype=np.float64)
     if w.shape != window.shape:
         raise ConfigurationError(
@@ -187,10 +209,7 @@ def breakdown_from_trim(eps0: float, k: int) -> float:
     """Sample breakdown eps = 1 - (1 - eps0)^(1/k) for k-subset pseudo-samples."""
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ArgumentError(f"k must be a positive integer, got {k!r}")
-    if not (isinstance(eps0, (int, float)) and math.isfinite(eps0)):
-        raise ArgumentError(f"eps0 must be a finite real, got {eps0!r}")
-    if not 0.0 <= eps0 < 1.0:
-        raise ArgumentError(f"eps0 must lie in [0, 1), got {eps0}")
+    _check_fraction("eps0", eps0, 1.0)
     return 1.0 - (1.0 - eps0) ** (1.0 / k)
 
 
@@ -198,8 +217,5 @@ def trim_from_breakdown(eps: float, k: int) -> float:
     """Inverse of :func:`breakdown_from_trim`: eps0 = 1 - (1 - eps)^k."""
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ArgumentError(f"k must be a positive integer, got {k!r}")
-    if not (isinstance(eps, (int, float)) and math.isfinite(eps)):
-        raise ArgumentError(f"eps must be a finite real, got {eps!r}")
-    if not 0.0 <= eps < 1.0:
-        raise ArgumentError(f"eps must lie in [0, 1), got {eps}")
+    _check_fraction("eps", eps, 1.0)
     return 1.0 - (1.0 - eps) ** k

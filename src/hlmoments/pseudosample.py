@@ -25,7 +25,7 @@ from .errors import (
     CombinationOverflowError,
 )
 from .kernels import _check_order, _psi2, kernel_values
-from .lstat import TrimSpec, retained_window
+from .lstat import _OVERFLOW, TrimSpec, _midpoint, _unscaled, retained_window
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -55,10 +55,6 @@ _MAX_INT64 = 2**63 - 1
 # Pairwise selection probes 4096 cells a round, pivots two binomial SDs either
 # side of the target, and partitions once at most max(16 n, 32768) cells remain.
 _SELECT_PROBE, _SELECT_PIVOTS, _SELECT_GATHER, _SELECT_HOLD = 4096, np.array([-64, 64]), 16, 1 << 15
-
-# Finite samples whose kernel values overflow; both routes raise this after
-# evaluating with numpy's overflow and invalid-value warnings silenced.
-_OVERFLOW = "kernel values overflow; the sample's range is too wide"
 
 
 @dataclass(frozen=True)
@@ -250,6 +246,25 @@ def _checked_sample(sample, k: int) -> np.ndarray:
     return x
 
 
+def _sorted_sample(sample, k, plan: PseudoPlan) -> tuple[int, np.ndarray, int]:
+    """(k, sorted sample, pseudo-sample size) of a valid order, sample and plan
+    whose exact C(n, k) is within its budget: what both routes start from."""
+    k = _check_order(k)
+    x = _checked_sample(sample, k)
+    if isinstance(plan, ExactPlan):
+        total = count_combinations(x.size, k)
+        if total > plan.budget:
+            raise CapacityError(
+                f"C({x.size}, {k}) = {total} exceeds the exact-mode budget "
+                f"{plan.budget}; use a Monte Carlo plan"
+            )
+    elif isinstance(plan, MonteCarloPlan):
+        total = plan.draws
+    else:
+        raise ArgumentError(f"unknown plan type {type(plan).__name__}")
+    return k, np.sort(x), total
+
+
 def build_pseudosample(sample, k: int, plan: PseudoPlan = ExactPlan()) -> np.ndarray:
     """Sorted kernel values psi_k over combinations of the sample.
 
@@ -258,24 +273,11 @@ def build_pseudosample(sample, k: int, plan: PseudoPlan = ExactPlan()) -> np.nda
     combinations.  Output is ascending and a pure function of
     (sample, k, plan), independent of block scheduling.
     """
-    k = _check_order(k)
-    x = np.sort(_checked_sample(sample, k))
-    n = x.size
-
+    k, x, total = _sorted_sample(sample, k, plan)
     if isinstance(plan, ExactPlan):
-        total = count_combinations(n, k)
-        if total > plan.budget:
-            raise CapacityError(
-                f"C({n}, {k}) = {total} exceeds the exact-mode budget "
-                f"{plan.budget}; use a Monte Carlo plan"
-            )
         chunks = _exact_rows(x, k, plan.chunk)
-    elif isinstance(plan, MonteCarloPlan):
-        total = plan.draws
-        chunks = _monte_carlo_rows(x, k, plan)
     else:
-        raise ArgumentError(f"unknown plan type {type(plan).__name__}")
-
+        chunks = _monte_carlo_rows(x, k, plan)
     out = np.empty(total)
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -366,34 +368,32 @@ def _square_sums(x: np.ndarray, start: np.ndarray, stop: np.ndarray) -> float:
     return float(np.sum(s2 + 2.0 * u * s1 + size * u * u))
 
 
-def _pairwise_window(sample, k: int, trim: TrimSpec, kind: str, plan: PseudoPlan):
-    """(value, C(n, 2)) of an exact k = 2 trimmed mean or median in the budget, or None
-    to build, raising the build's errors in its order.  Few pairs are partitioned at both
-    cuts; else each is selected, and a mean adds the ties at both to the sum between."""
-    if _check_order(k) != 2 or kind == "weighted" or not isinstance(plan, ExactPlan):
-        return None
-    x = _checked_sample(sample, 2)
+def _pairwise_window(x: np.ndarray, trim: TrimSpec, kind: str) -> float:
+    """Exact k = 2 trimmed mean or median of the sorted sample x.  Few pairs are
+    partitioned at both cuts; else each is selected, and a mean adds the ties at both
+    to the sum between.  A mean whose sum overflows is taken again on x * 2^-h."""
     n, pairs = x.size, x.size * (x.size - 1) // 2
-    if pairs > plan.budget:
-        return None
-    x = np.sort(x)
     with np.errstate(over="ignore", invalid="ignore"):
         if not math.isfinite(_psi2(x[0] - x[-1])):
             raise ArgumentError(_OVERFLOW)
-    lo, hi = retained_window(pairs, trim)
-    m = hi - lo
-    cut = (lo + (m - 1) // 2, lo + m // 2) if kind == "median" else (lo, hi - 1)
-    if pairs <= max(_SELECT_GATHER * n, _SELECT_HOLD):
-        v = np.partition(_pairwise_cells(x, np.arange(1, n), np.full(n - 1, n)), cut)
-        t_lo, t_hi = v[cut[0]], v[cut[1]]
-        if kind != "median":
-            return float(v[lo:hi].mean()), pairs
-    else:
-        t_lo = _select_pairwise(x, cut[0])
-        t_hi = t_lo if cut[1] == cut[0] else _select_pairwise(x, cut[1])
-    if kind == "median" or t_lo == t_hi:  # an odd window's median is t_lo == t_hi
-        return float(t_lo if t_lo == t_hi else 0.5 * (t_lo + t_hi)), pairs
-    above = _pairwise_bounds(x, t_lo)  # first column > t_lo
-    below = _pairwise_bounds(x, np.nextafter(t_hi, -np.inf))  # first column >= t_hi
-    ties = (above.sum() - pairs - lo) * t_lo + (hi + pairs - below.sum()) * t_hi
-    return float(ties + 0.5 * _square_sums(x, above, below)) / m, pairs
+        lo, hi = retained_window(pairs, trim)
+        m = hi - lo
+        cut = (lo + (m - 1) // 2, lo + m // 2) if kind == "median" else (lo, hi - 1)
+        if pairs <= max(_SELECT_GATHER * n, _SELECT_HOLD):
+            v = np.partition(_pairwise_cells(x, np.arange(1, n), np.full(n - 1, n)), cut)
+            if kind == "median":
+                return _midpoint(v[cut[0]], v[cut[1]])
+            mean = float(v[lo:hi].mean())
+        else:
+            t_lo = _select_pairwise(x, cut[0])
+            t_hi = t_lo if cut[1] == cut[0] else _select_pairwise(x, cut[1])
+            if kind == "median" or t_lo == t_hi:  # an odd window's median is t_lo == t_hi
+                return _midpoint(t_lo, t_hi)
+            above = _pairwise_bounds(x, t_lo)  # first column > t_lo
+            below = _pairwise_bounds(x, np.nextafter(t_hi, -np.inf))  # first column >= t_hi
+            ties = (above.sum() - pairs - lo) * t_lo + (hi + pairs - below.sum()) * t_hi
+            mean = float(ties + 0.5 * _square_sums(x, above, below)) / m
+    if math.isfinite(mean):
+        return mean
+    h = (pairs.bit_length() + 2) // 2  # 4^h > 2 pairs: no scaled sum of squares overflows
+    return _unscaled(_pairwise_window(x * 2.0**-h, trim, kind), 2 * h)

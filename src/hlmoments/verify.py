@@ -312,17 +312,14 @@ def support_bound_probe(k: int, resolution: int = 100) -> SupportBoundsReport:
         raise ArgumentError(f"resolution must be an integer >= 20, got {resolution!r}")
     k = int(k)
     resolution = int(resolution)
-    if k == 2:
-        tuples = np.array([[0.0, 1.0]])
-    else:
-        interior = np.array(
-            list(combinations_with_replacement(range(resolution + 1), k - 2)),
-            dtype=np.float64,
-        ) / float(resolution)
-        tuples = np.empty((interior.shape[0], k))
-        tuples[:, 0] = 0.0
-        tuples[:, 1:-1] = interior
-        tuples[:, -1] = 1.0
+    interior = np.array(
+        list(combinations_with_replacement(range(resolution + 1), k - 2)),
+        dtype=np.float64,
+    ) / float(resolution)
+    tuples = np.empty((interior.shape[0], k))
+    tuples[:, 0] = 0.0
+    tuples[:, 1:-1] = interior
+    tuples[:, -1] = 1.0
     v = kernel_values(tuples, k)  # rows are ascending by construction
     lower, upper = kernel_support_bounds(k, -1.0)
     return SupportBoundsReport(

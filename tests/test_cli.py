@@ -3,8 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from hlmoments import TrimSpec, hl_standardized_moment
 from hlmoments.cli import main
 
 
@@ -62,6 +64,20 @@ class TestEstimate:
         code, _, _ = run_cli(capsys, ["estimate", "--input", path, "--k", "2"])
         assert code == 2
 
+    def test_header_line_adds_no_values(self, capsys, datafile):
+        body = "1.0\n2.0\n4.0\n"
+        want = run_cli(capsys, ["tsd", "--input", datafile(body, "plain.csv")])
+        assert want[0] == 0
+        for header in ("7,label", "a,b"):
+            path = datafile(f"{header}\n{body}", "header.csv")
+            assert run_cli(capsys, ["tsd", "--input", path]) == want, header
+
+    def test_second_unparseable_line_names_its_line(self, capsys, datafile):
+        path = datafile("7,label\n1.0\n2.0,x\n4.0\n")
+        code, _, err = run_cli(capsys, ["tsd", "--input", path])
+        assert code == 2
+        assert f"{path}:3: cannot parse '2.0,x' as reals" in err
+
     def test_missing_source_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, ["estimate", "--k", "2"])
         assert code == 2
@@ -82,6 +98,17 @@ class TestEstimate:
         assert code == 0
         want = (10 / 3) / (7 / 3) ** 1.5
         assert json.loads(out)["value"] == pytest.approx(want, rel=1e-12)
+
+    def test_standardized_moment_with_its_own_scale_trim(self, capsys, datafile):
+        x = np.random.default_rng(8).gamma(2.0, 1.0, 30)
+        path = datafile(",".join(repr(v) for v in x.tolist()))
+        argv = ["estimate", "--input", path, "--k", "3", "--standardized", "--eps0", "0.1",
+                "--eps0-scale", "0.2", "--gamma-scale", "0.5"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        want = hl_standardized_moment(x, 3, TrimSpec(0.1), trim_scale=TrimSpec(0.2, 0.5))
+        assert json.loads(out) == want.to_dict()
+        assert run_cli(capsys, argv + ["--chunk", "7"]) == (0, out, "")
 
     def test_family_source_with_monte_carlo(self, capsys):
         code, out, _ = run_cli(
@@ -281,3 +308,23 @@ class TestOutputContracts:
             capsys, ["estimate", "--input", path, "--k", "2", "--budget", "100"]
         )
         assert code2 == 0
+
+    @pytest.mark.parametrize("raw, message", [
+        ("ten", "HLMOMENTS_BUDGET_CAP='ten' is not an integer"),
+        ("0", "HLMOMENTS_BUDGET_CAP must be positive, got 0"),
+    ])
+    def test_malformed_budget_env_var_fails_only_exact_plans(
+        self, capsys, datafile, monkeypatch, raw, message
+    ):
+        monkeypatch.setenv("HLMOMENTS_BUDGET_CAP", raw)
+        path = datafile("0,1,2\n")
+        for extra in ([], ["--budget", "100"]):
+            argv = ["estimate", "--input", path, "--k", "2", *extra]
+            assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
+        code, out, _ = run_cli(capsys, ["--help"])
+        assert code == 0 and out.startswith("usage: hlmoments")
+        code, out, _ = run_cli(capsys, ["congruence", "--family", "pareto(2,1)", "--param", "shape"])
+        assert code == 0 and json.loads(out)["verdict"] == "congruent"
+        code, out, _ = run_cli(capsys, ["estimate", "--input", path, "--k", "2",
+                                        "--mode", "monte-carlo", "--draws", "100"])
+        assert code == 0 and json.loads(out)["pseudo_n"] == 100

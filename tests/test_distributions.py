@@ -1,15 +1,17 @@
 """Families, quantile averages, and congruence verdicts."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from scipy.special import erfcinv
+from scipy.special import erfcinv, ndtri
 from scipy.stats import norm
 
 from hlmoments import (
     ArgumentError,
     CongruenceVerdict,
+    Family,
     Gamma,
     GeneralizedGaussian,
     LogNormal,
@@ -89,6 +91,15 @@ class TestQuantiles:
             Uniform(2.0, 1.0)
         with pytest.raises(ArgumentError):
             LogNormal(0.0, 0.0)
+
+
+class TestDensities:
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.label)
+    def test_pdf_is_the_derivative_of_cdf(self, family):
+        x = family.quantile(np.arange(1, 10) / 10.0)
+        h = 1e-7 * np.maximum(np.abs(x), 1.0)  # small enough for laplace's kink at 0
+        slope = (family.cdf(x + h) - family.cdf(x - h)) / (2.0 * h)
+        np.testing.assert_allclose(family.pdf(x), slope, rtol=1e-6)
 
 
 class TestMeans:
@@ -283,6 +294,23 @@ class TestCongruence:
             for s_base, s_small in zip(base.signs, small.signs):
                 if s_base != 0 and s_small != 0:
                     assert s_base == s_small
+
+    def test_signs_split_by_a_dead_band_are_inconclusive(self):
+        @dataclass(frozen=True)
+        class Stepped(Family):
+            """Q(p) = Phi^-1(p) + theta * s(min(p, 1 - p)) / 2, so at gamma = 1
+            dQA/dtheta = s(eps): +1 below 0.01, 0 below 0.1, -1 above."""
+
+            theta: float = 1.0
+
+            def _q(self, p):
+                e = np.minimum(p, 1.0 - p)
+                return ndtri(p) + self.theta * np.where(e < 0.01, 0.5, np.where(e < 0.1, 0.0, -0.5))
+
+        v = congruence_check(Stepped(), "theta", gamma=1.0)
+        assert set(v.signs) == {1, 0, -1}
+        assert v.verdict == "inconclusive"
+        assert v.family == "stepped(theta=1)"
 
     def test_grid_size_validation(self):
         with pytest.raises(ArgumentError):

@@ -449,3 +449,17 @@ class TestOverflow:
                 hl_central_moment(x, k, **kwargs)
         assert str(info.value) == pseudosample._OVERFLOW
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("n", [3, 300])
+    @pytest.mark.parametrize("kwargs", [{}, {"estimator": LEstimatorSpec.median()},
+                                        {"plan": MonteCarloPlan(draws=1000, seed=1)}],
+                             ids=["selected-mean", "selected-median", "monte-carlo-mean"])
+    def test_finite_kernel_values_give_a_finite_estimate(self, n, kwargs):
+        # every kernel value is below 1.7e308, but the window sums overflow
+        x = np.linspace(-1.0, 1.0, n) * 9e153
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = hl_central_moment(x, 2, **kwargs).value
+        want = hl_central_moment(x * 2.0**-20, 2, **kwargs).value * 2.0**40
+        assert abs(got - want) <= 1e-13 * want
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

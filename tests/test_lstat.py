@@ -61,6 +61,10 @@ class TestMedianSorted:
         with pytest.raises(ArgumentError):
             median_sorted([])
 
+    def test_midpoint_of_values_whose_sum_overflows(self):
+        assert median_sorted([1e308, 1.5e308]) == 1.25e308
+        assert trimmed_mean([1e308, 1.5e308]) == 1.25e308
+
 
 class TestApply:
     def test_trimmed_mean_kind(self):
