@@ -99,6 +99,17 @@ def _load_sample(args) -> np.ndarray:
     return family.sample(args.n, args.sample_seed)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the plan sizes: one that is not a positive integer is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(","))
@@ -255,15 +266,16 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
 
 def _add_plan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("exact", "monte-carlo"), default="exact")
-    p.add_argument("--draws", type=int, default=10**6, help="Monte Carlo draw count")
+    p.add_argument("--draws", type=_positive_int, default=10**6, help="Monte Carlo draw count")
     p.add_argument("--plan-seed", type=int, default=0, help="Monte Carlo seed")
     p.add_argument(
-        "--budget", type=int, default=None,
+        "--budget", type=_positive_int, default=None,
         help=f"exact-mode cap on C(n, k), even where k = 2 pairs are not built (env {_BUDGET_ENV})",
     )
     p.add_argument(
-        "--chunk", type=int, default=DEFAULT_CHUNK,
-        help="combinations evaluated at once; memory beyond the output is O(chunk * k)",
+        "--chunk", type=_positive_int, default=DEFAULT_CHUNK,
+        help="combinations gathered at once (O(chunk * k) memory beyond the output); "
+             "the kernel's temporaries are bounded by its fixed row tile",
     )
 
 
@@ -316,7 +328,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--eps0", type=float, default=0.1)
     p_ver.add_argument("--replications", type=int, default=1000)
     p_ver.add_argument("--trials", type=int, default=10**4)
-    p_ver.add_argument("--draws", type=int, default=10**6)
+    p_ver.add_argument("--draws", type=_positive_int, default=10**6)
     p_ver.add_argument("--seeds", type=int, default=10, help="Monte Carlo seed count")
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--bins", type=int, default=None)

@@ -35,6 +35,7 @@ from .lstat import (
     TrimSpec,
     _check_fraction,
     _snap,
+    _unscaled,
     apply_lestimator,
     breakdown_from_trim,
     trimmed_mean,  # unused here, but perfbench/spans.py wraps estimators.trimmed_mean
@@ -77,6 +78,18 @@ class MomentEstimate(Record):
     pseudo_n: int
     method: str
     seed: Optional[int] = None
+
+
+def _homogeneous(f, x: np.ndarray, degree: int) -> float:
+    """f(x) for an f of the sample that is homogeneous of ``degree``.  Where that
+    overflows, f(x * 2^-h) * 2^(h * degree) with |x| * 2^-h < 1/2, or the
+    overflow error when the value is beyond a double."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(f(x))
+    if math.isfinite(value):
+        return value
+    h = math.frexp(float(np.max(np.abs(x))))[1] + 1
+    return _unscaled(float(f(np.ldexp(x, -h))), h * degree)
 
 
 def _estimate(sample, k, trim, estimator, plan) -> MomentEstimate:
@@ -185,8 +198,7 @@ def trimmed_sd_symmetric(sample, eps: float = 0.0) -> MomentEstimate:
             f"eps={eps} retains no symmetric differences for n={n}"
         )
     i = np.arange(lo, hi + 1)
-    d = xs[i - 1] - xs[n - i]
-    value = math.sqrt(float(np.mean(d * d)))
+    value = _homogeneous(lambda s: math.sqrt(np.mean((s[i - 1] - s[n - i]) ** 2)), xs, 1)
     return MomentEstimate(
         value=value,
         k=2,
@@ -204,9 +216,7 @@ def sample_central_moment(sample, k: int) -> float:
     """Plug-in moment m_k = mean((x - mean(x))^k); biased, non-robust comparator."""
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ArgumentError(f"k must be a positive integer, got {k!r}")
-    x = _checked_sample(sample, 1)
-    d = x - x.mean()
-    return float(np.mean(d**k))
+    return _homogeneous(lambda x: np.mean((x - x.mean()) ** k), _checked_sample(sample, 1), k)
 
 
 def h_statistic(sample, k: int) -> float:
@@ -218,14 +228,18 @@ def h_statistic(sample, k: int) -> float:
     if not isinstance(k, (int, np.integer)) or k not in (2, 3, 4):
         raise ArgumentError(f"h_statistic supports k in {{2, 3, 4}}, got {k!r}")
     x = _checked_sample(sample, k)
+    return _homogeneous(lambda s: _h_statistic(s, k), x, k)
+
+
+def _h_statistic(x: np.ndarray, k: int) -> float:
     n = x.size
     d = x - x.mean()
     if k == 2:
-        return float((d @ d) / (n - 1))
+        return (d @ d) / (n - 1)
     if k == 3:
         m3 = np.mean(d**3)
-        return float(n * n * m3 / ((n - 1) * (n - 2)))
+        return n * n * m3 / ((n - 1) * (n - 2))
     m2 = np.mean(d**2)
     m4 = np.mean(d**4)
     num = 3.0 * n * (3.0 - 2.0 * n) * m2 * m2 + n * (n * n - 2.0 * n + 3.0) * m4
-    return float(num / ((n - 1) * (n - 2) * (n - 3)))
+    return num / ((n - 1) * (n - 2) * (n - 3))

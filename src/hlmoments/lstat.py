@@ -159,7 +159,11 @@ def _midpoint(a, b) -> float:
 
 def _unscaled(value: float, e: int) -> float:
     """value * 2^e, which must be a double.  Power-of-two scaling is exact."""
-    if not math.isfinite(value := value * 2.0**e):
+    try:
+        value = math.ldexp(value, e)
+    except OverflowError:  # raised for a finite value only; inf and NaN pass through
+        value = math.inf
+    if not math.isfinite(value):
         raise ArgumentError(_OVERFLOW)
     return value
 

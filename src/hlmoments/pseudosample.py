@@ -61,8 +61,9 @@ _SELECT_PROBE, _SELECT_PIVOTS, _SELECT_GATHER, _SELECT_HOLD = 4096, np.array([-6
 class ExactPlan:
     """Enumerate every combination, provided C(n, k) <= budget.
 
-    Evaluates at most ``chunk`` combinations at once; working memory beyond
-    the C(n, k) output values is O(chunk * k), however large C(n, k) is.
+    Gathers at most ``chunk`` combinations at once: beyond the C(n, k) output
+    values they take O(chunk * k) memory, however large C(n, k) is, and the
+    kernel's own temporaries are bounded by its fixed row tile.
     """
 
     budget: int = DEFAULT_BUDGET
@@ -79,8 +80,9 @@ class ExactPlan:
 class MonteCarloPlan:
     """Draw ``draws`` combinations uniformly with replacement, seeded.
 
-    Evaluates at most ``chunk`` combinations at once; working memory beyond
-    the ``draws`` output values is O(chunk * k) plus one block of 2^18 draws.
+    Gathers at most ``chunk`` combinations at once: beyond the ``draws``
+    output values they take O(chunk * k) memory plus one block of 2^18 draws,
+    and the kernel's own temporaries are bounded by its fixed row tile.
     """
 
     draws: int

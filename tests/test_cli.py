@@ -328,3 +328,25 @@ class TestOutputContracts:
         code, out, _ = run_cli(capsys, ["estimate", "--input", path, "--k", "2",
                                         "--mode", "monte-carlo", "--draws", "100"])
         assert code == 0 and json.loads(out)["pseudo_n"] == 100
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--k", "2", "--budget"],
+        ["estimate", "--k", "2", "--chunk"],
+        ["estimate", "--k", "2", "--mode", "monte-carlo", "--draws"],
+        ["tsd", "--budget"],
+        ["tsd", "--mode", "monte-carlo", "--chunk"],
+        ["verify", "mc-consistency", "--n", "6", "--draws"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-1]}")
+    @pytest.mark.parametrize("value, message", [
+        ("0", "must be a positive integer, got 0"),
+        ("-3", "must be a positive integer, got -3"),
+        ("2.5", "invalid int value: '2.5'"),
+    ], ids=["zero", "negative", "fraction"])
+    def test_plan_sizes_that_are_not_positive_integers_are_usage_errors(
+        self, capsys, datafile, argv, value, message
+    ):
+        # exit 2, as for a malformed HLMOMENTS_BUDGET_CAP
+        data = [] if argv[0] == "verify" else ["--input", datafile("0,1,2\n")]
+        code, out, err = run_cli(capsys, [*argv[:1], *data, *argv[1:], value])
+        assert (code, out) == (2, "")
+        assert f"error: argument {argv[-1]}: {message}\n" in err

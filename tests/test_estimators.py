@@ -29,7 +29,7 @@ from hlmoments import (
 )
 
 from hlmoments import estimators, pseudosample
-from oracles import exact_u_statistic
+from oracles import exact_population_central_moment, exact_u_statistic
 
 
 class TestCentralMoment:
@@ -463,3 +463,77 @@ class TestOverflow:
         want = hl_central_moment(x * 2.0**-20, 2, **kwargs).value * 2.0**40
         assert abs(got - want) <= 1e-13 * want
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+# Samples whose plain evaluation overflows somewhere: the sum behind the mean,
+# a difference or a power.
+WIDE_SAMPLES = {
+    "linspace-1e160": np.linspace(-1.0, 1.0, 10) * 1e160,
+    "falling-1.7e308": np.array([1.7e308, 1.6e308, 1.5e308, 1.4e308]),
+    "quartet-1e308": np.array([-1e308, -2e307, 2e307, 1e308]),
+    "shifted-1e300": 1e300 + np.arange(5.0) * 1e290,
+}
+DBL_MAX = Fraction(np.finfo(np.float64).max)
+
+
+def _matches_exact(call, want: Fraction, scale: Fraction) -> None:
+    """call() is want to 1e-12 of scale, or the overflow error where every value
+    that close is past a double (either one where only some are)."""
+    tol = scale / 10**12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = call()
+        except ArgumentError as exc:
+            assert str(exc) == pseudosample._OVERFLOW
+            assert abs(want) + tol > DBL_MAX
+            return
+    assert abs(want) - tol <= DBL_MAX
+    assert math.isfinite(got) and abs(Fraction(got) - want) <= tol
+
+
+def _scale(x, k: int) -> Fraction:
+    """max |x_i|^k, exact: rounding the mean errs in proportion to it."""
+    return max(abs(Fraction(v)) for v in x) ** k
+
+
+class TestWideSamples:
+    """Plain moments, h-statistics and the symmetric SD on samples whose plain
+    evaluation overflows: the value where a double holds it, else the overflow
+    error, and never a numpy RuntimeWarning."""
+
+    @pytest.mark.parametrize("name", WIDE_SAMPLES)
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_sample_central_moment(self, name, k):
+        x = WIDE_SAMPLES[name]
+        want = exact_population_central_moment(x, [Fraction(1, x.size)] * x.size, k)
+        _matches_exact(lambda: sample_central_moment(x, k), want, _scale(x, k))
+
+    @pytest.mark.parametrize("name", WIDE_SAMPLES)
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_h_statistic(self, name, k):
+        x = WIDE_SAMPLES[name]
+        _matches_exact(lambda: h_statistic(x, k), exact_u_statistic(x, k), _scale(x, k))
+
+    @pytest.mark.parametrize("name", WIDE_SAMPLES)
+    @pytest.mark.parametrize("eps", [0.0, 0.2])
+    def test_trimmed_sd_symmetric(self, name, eps):
+        xs = sorted(Fraction(v) for v in WIDE_SAMPLES[name])
+        n = len(xs)
+        d2 = [(xs[i - 1] - xs[n - i]) ** 2 for i in range(n // 2 + 1, math.floor(n * (1 - eps)) + 1)]
+        mean_square = sum(d2) / len(d2)
+        # sqrt of the exact mean square, to 1e-12, with no conversion that overflows
+        root = Fraction(math.isqrt(int(mean_square * 10**24)), 10**12)
+        _matches_exact(lambda: trimmed_sd_symmetric(WIDE_SAMPLES[name], eps).value, root,
+                       _scale(WIDE_SAMPLES[name], 1))
+
+    def test_ordinary_samples_keep_their_bits(self):
+        # the rescaled path is taken only where the plain one overflows
+        x = np.random.default_rng(12).normal(3.0, 2.0, size=41)
+        d = x - x.mean()
+        assert sample_central_moment(x, 3) == float(np.mean(d**3))
+        assert h_statistic(x, 2) == float((d @ d) / (x.size - 1))
+        xs = np.sort(x)
+        i = np.arange(41 // 2 + 1, math.floor(41 * 0.9) + 1)
+        e = xs[i - 1] - xs[41 - i]
+        assert trimmed_sd_symmetric(x, 0.1).value == math.sqrt(float(np.mean(e * e)))

@@ -1,5 +1,6 @@
 """Kernel evaluation against exact brute-force expansion and closed forms."""
 
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -17,7 +18,7 @@ from hlmoments import (
     kernel_values,
     signed_binomial_sums,
 )
-from hlmoments.kernels import _power_sum_coefficients
+from hlmoments.kernels import _TILE, _power_sum_coefficients
 
 from oracles import (
     exact_kernel_expectation,
@@ -262,6 +263,33 @@ class TestValidation:
             central_moment_kernel([np.nan, 1.0])
         with pytest.raises(ArgumentError):
             central_moment_kernel([np.inf, 1.0])
+
+
+class TestTiles:
+    """kernel_values takes its rows one fixed tile at a time."""
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    @pytest.mark.parametrize("m", [_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 7])
+    def test_tiles_change_no_bit(self, k, m):
+        # every row is evaluated alone, so 1000-row slices give the same bytes;
+        # rows arrive column-contiguous from the pipeline and row-contiguous here
+        x = np.sort(np.random.default_rng(k * m).gamma(2.0, 1.0, size=(m, k)), axis=1)
+        for rows in (x, np.asfortranarray(x)):
+            whole = kernel_values(rows, k)
+            parts = [kernel_values(rows[a:a + 1000], k) for a in range(0, m, 1000)]
+            assert whole.tobytes() == np.concatenate(parts).tobytes()
+
+    @pytest.mark.parametrize("k", [3, 4, 12])
+    def test_temporaries_are_bounded_by_the_tile(self, k):
+        x = np.asfortranarray(np.random.default_rng(k).normal(size=(1 << 18, k)))
+        kernel_values(x[:10], k)  # warm the coefficient cache
+        tracemalloc.start()
+        try:
+            out = kernel_values(x, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 4 << 20
 
 
 @settings(max_examples=60, deadline=None)

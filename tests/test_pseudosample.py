@@ -14,6 +14,7 @@ from hlmoments import (
     CapacityError,
     CombinationOverflowError,
     ExactPlan,
+    DEFAULT_CHUNK,
     MonteCarloPlan,
     build_pseudosample,
     central_moment_kernel,
@@ -21,6 +22,7 @@ from hlmoments import (
     rank_combination,
     unrank_combination,
 )
+from hlmoments.kernels import _TILE
 
 
 class TestCountCombinations:
@@ -161,6 +163,18 @@ class TestExactBuild:
         x = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
         out = build_pseudosample(x, 3)
         assert not np.any(np.signbit(out[out == 0.0]))
+
+
+class TestKernelTiles:
+    @pytest.mark.parametrize("plan", [ExactPlan, lambda chunk: MonteCarloPlan(20_000, 5, chunk)],
+                             ids=["exact", "monte-carlo"])
+    @pytest.mark.parametrize("n, k", [(50, 3), (20, 5)])
+    def test_chunks_around_the_kernel_tile_change_no_bit(self, plan, n, k):
+        # C(50, 3) = 19600 and C(20, 5) = 15504 rows span several kernel tiles
+        x = np.random.default_rng(n).lognormal(size=n)
+        want = build_pseudosample(x, k, plan(chunk=DEFAULT_CHUNK))
+        for chunk in (1, _TILE - 1, _TILE + 1):
+            assert build_pseudosample(x, k, plan(chunk=chunk)).tobytes() == want.tobytes(), chunk
 
 
 class TestMonteCarloBuild:
