@@ -329,7 +329,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--replications", type=int, default=1000)
     p_ver.add_argument("--trials", type=int, default=10**4)
     p_ver.add_argument("--draws", type=_positive_int, default=10**6)
-    p_ver.add_argument("--seeds", type=int, default=10, help="Monte Carlo seed count")
+    p_ver.add_argument("--seeds", type=_positive_int, default=10, help="Monte Carlo seed count")
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--bins", type=int, default=None)
     p_ver.add_argument("--resolution", type=int, default=100)

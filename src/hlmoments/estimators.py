@@ -34,8 +34,8 @@ from .lstat import (
     LEstimatorSpec,
     TrimSpec,
     _check_fraction,
+    _homogeneous,
     _snap,
-    _unscaled,
     apply_lestimator,
     breakdown_from_trim,
     trimmed_mean,  # unused here, but perfbench/spans.py wraps estimators.trimmed_mean
@@ -80,18 +80,6 @@ class MomentEstimate(Record):
     seed: Optional[int] = None
 
 
-def _homogeneous(f, x: np.ndarray, degree: int) -> float:
-    """f(x) for an f of the sample that is homogeneous of ``degree``.  Where that
-    overflows, f(x * 2^-h) * 2^(h * degree) with |x| * 2^-h < 1/2, or the
-    overflow error when the value is beyond a double."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = float(f(x))
-    if math.isfinite(value):
-        return value
-    h = math.frexp(float(np.max(np.abs(x))))[1] + 1
-    return _unscaled(float(f(np.ldexp(x, -h))), h * degree)
-
-
 def _estimate(sample, k, trim, estimator, plan) -> MomentEstimate:
     """``hl_central_moment``'s record; the other callers replace its ``method``."""
     if not isinstance(trim, TrimSpec):
@@ -100,7 +88,7 @@ def _estimate(sample, k, trim, estimator, plan) -> MomentEstimate:
         raise ArgumentError(f"estimator must be an LEstimatorSpec, got {estimator!r}")
     if k == 2 and estimator.kind != "weighted" and isinstance(plan, ExactPlan):
         _, x, pseudo_n = _sorted_sample(sample, k, plan)
-        value = _pairwise_window(x, trim, estimator.kind)
+        value = _homogeneous(lambda s: _pairwise_window(s, trim, estimator.kind), x, 2)
     else:
         pseudo = build_pseudosample(sample, k, plan)
         value, pseudo_n = apply_lestimator(estimator, pseudo, trim), pseudo.size

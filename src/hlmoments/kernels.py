@@ -44,6 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ArgumentError, UnsupportedOrderError
+from .lstat import _OVERFLOW
 
 __all__ = [
     "MAX_ORDER",
@@ -187,7 +188,7 @@ def central_moment_kernel(values, k: int | None = None):
     -------
     float or ndarray
         Kernel value per tuple; each tuple is sorted first, so bit for bit
-        permutation invariant.
+        permutation invariant.  A value beyond a double raises ``ArgumentError``.
     """
     x = np.asarray(values, dtype=np.float64)
     if x.ndim not in (1, 2):
@@ -201,9 +202,11 @@ def central_moment_kernel(values, k: int | None = None):
     if not np.isfinite(x).all():
         raise ArgumentError("kernel arguments must be finite")
     x = np.sort(x, axis=-1)
-    if x.ndim == 1:
-        return float(kernel_values(x[None, :], k)[0])
-    return kernel_values(x, k)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = kernel_values(np.atleast_2d(x), k)
+    if not np.isfinite(values).all():
+        raise ArgumentError(_OVERFLOW)
+    return float(values[0]) if x.ndim == 1 else values
 
 
 # ---------------------------------------------------------------------------

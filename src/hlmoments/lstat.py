@@ -157,12 +157,18 @@ def _midpoint(a, b) -> float:
     return mid if math.isfinite(mid) else 0.5 * float(a) + 0.5 * float(b)
 
 
-def _unscaled(value: float, e: int) -> float:
-    """value * 2^e, which must be a double.  Power-of-two scaling is exact."""
-    try:
-        value = math.ldexp(value, e)
-    except OverflowError:  # raised for a finite value only; inf and NaN pass through
-        value = math.inf
+def _homogeneous(f, x: np.ndarray, degree: int) -> float:
+    """f(x) for an f of the sample that is homogeneous of ``degree``.  Where that
+    overflows, f(x * 2^-h) * 2^(h * degree) with |x| * 2^-h < 1/2 (power-of-two
+    scaling is exact), or the overflow error when the value is beyond a double."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(f(x))
+        if not math.isfinite(value):
+            h = math.frexp(float(np.max(np.abs(x))))[1] + 1
+            try:
+                value = math.ldexp(float(f(np.ldexp(x, -h))), h * degree)
+            except OverflowError:  # raised for a finite value only; inf and NaN pass through
+                value = math.inf
     if not math.isfinite(value):
         raise ArgumentError(_OVERFLOW)
     return value
@@ -189,10 +195,7 @@ def apply_lestimator(
     lo, hi = retained_window(arr.size, trim)
     window = arr[lo:hi]
     if spec.kind == "trimmed-mean":
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = float(window.mean())
-        e = window.size.bit_length()  # an overflowing sum is taken again on window * 2^-e
-        return mean if math.isfinite(mean) else _unscaled(float((window * 2.0**-e).mean()), e)
+        return _homogeneous(np.mean, window, 1)
     if spec.kind == "median":
         return _midpoint(window[(window.size - 1) // 2], window[window.size // 2])
     w = np.asarray(spec.weights(window.size), dtype=np.float64)

@@ -25,7 +25,7 @@ from .errors import (
     CombinationOverflowError,
 )
 from .kernels import _check_order, _psi2, kernel_values
-from .lstat import _OVERFLOW, TrimSpec, _midpoint, _unscaled, retained_window
+from .lstat import _OVERFLOW, TrimSpec, _midpoint, retained_window
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -34,8 +34,6 @@ __all__ = [
     "MonteCarloPlan",
     "PseudoPlan",
     "count_combinations",
-    "rank_combination",
-    "unrank_combination",
     "build_pseudosample",
 ]
 
@@ -115,44 +113,6 @@ def count_combinations(n: int, k: int) -> int:
             f"C({n}, {k}) = {total} exceeds 64-bit range; use a Monte Carlo plan"
         )
     return total
-
-
-def unrank_combination(rank: int, n: int, k: int) -> tuple[int, ...]:
-    """The lexicographically rank-th strictly increasing k-subset of {0..n-1}."""
-    total = count_combinations(n, k)
-    if not isinstance(rank, (int, np.integer)):
-        raise ArgumentError(f"rank must be an integer, got {rank!r}")
-    rank = int(rank)
-    if not 0 <= rank < total:
-        raise ArgumentError(f"rank {rank} outside [0, C({n},{k}) = {total})")
-    combo, v = [], 0
-    for pos in range(k):
-        while rank >= (skipped := math.comb(n - 1 - v, k - 1 - pos)):
-            rank -= skipped
-            v += 1
-        combo.append(v)
-        v += 1
-    return tuple(combo)
-
-
-def rank_combination(combo, n: int, k: int) -> int:
-    """Lexicographic rank of a strictly increasing k-subset of {0..n-1}."""
-    total = count_combinations(n, k)
-    combo = tuple(int(c) for c in combo)
-    if len(combo) != k:
-        raise ArgumentError(f"expected a {k}-subset, got {len(combo)} elements")
-    if k == 0:
-        return 0
-    if combo[0] < 0 or combo[-1] >= n or any(a >= b for a, b in zip(combo, combo[1:])):
-        raise ArgumentError(f"{combo} is not a strictly increasing subset of range({n})")
-    rank = 0
-    prev = -1
-    for pos, c in enumerate(combo):
-        for v in range(prev + 1, c):
-            rank += math.comb(n - 1 - v, k - 1 - pos)
-        prev = c
-    assert rank < total
-    return rank
 
 
 def _sample_index_combinations(
@@ -373,29 +333,23 @@ def _square_sums(x: np.ndarray, start: np.ndarray, stop: np.ndarray) -> float:
 def _pairwise_window(x: np.ndarray, trim: TrimSpec, kind: str) -> float:
     """Exact k = 2 trimmed mean or median of the sorted sample x.  Few pairs are
     partitioned at both cuts; else each is selected, and a mean adds the ties at both
-    to the sum between.  A mean whose sum overflows is taken again on x * 2^-h."""
+    to the sum between.  ``lstat._homogeneous`` runs it and rescales an overflow."""
     n, pairs = x.size, x.size * (x.size - 1) // 2
-    with np.errstate(over="ignore", invalid="ignore"):
-        if not math.isfinite(_psi2(x[0] - x[-1])):
-            raise ArgumentError(_OVERFLOW)
-        lo, hi = retained_window(pairs, trim)
-        m = hi - lo
-        cut = (lo + (m - 1) // 2, lo + m // 2) if kind == "median" else (lo, hi - 1)
-        if pairs <= max(_SELECT_GATHER * n, _SELECT_HOLD):
-            v = np.partition(_pairwise_cells(x, np.arange(1, n), np.full(n - 1, n)), cut)
-            if kind == "median":
-                return _midpoint(v[cut[0]], v[cut[1]])
-            mean = float(v[lo:hi].mean())
-        else:
-            t_lo = _select_pairwise(x, cut[0])
-            t_hi = t_lo if cut[1] == cut[0] else _select_pairwise(x, cut[1])
-            if kind == "median" or t_lo == t_hi:  # an odd window's median is t_lo == t_hi
-                return _midpoint(t_lo, t_hi)
-            above = _pairwise_bounds(x, t_lo)  # first column > t_lo
-            below = _pairwise_bounds(x, np.nextafter(t_hi, -np.inf))  # first column >= t_hi
-            ties = (above.sum() - pairs - lo) * t_lo + (hi + pairs - below.sum()) * t_hi
-            mean = float(ties + 0.5 * _square_sums(x, above, below)) / m
-    if math.isfinite(mean):
-        return mean
-    h = (pairs.bit_length() + 2) // 2  # 4^h > 2 pairs: no scaled sum of squares overflows
-    return _unscaled(_pairwise_window(x * 2.0**-h, trim, kind), 2 * h)
+    if not math.isfinite(_psi2(x[0] - x[-1])):
+        raise ArgumentError(_OVERFLOW)
+    lo, hi = retained_window(pairs, trim)
+    m = hi - lo
+    cut = (lo + (m - 1) // 2, lo + m // 2) if kind == "median" else (lo, hi - 1)
+    if pairs <= max(_SELECT_GATHER * n, _SELECT_HOLD):
+        v = np.partition(_pairwise_cells(x, np.arange(1, n), np.full(n - 1, n)), cut)
+        if kind == "median":
+            return _midpoint(v[cut[0]], v[cut[1]])
+        return float(v[lo:hi].mean())
+    t_lo = _select_pairwise(x, cut[0])
+    t_hi = t_lo if cut[1] == cut[0] else _select_pairwise(x, cut[1])
+    if kind == "median" or t_lo == t_hi:  # an odd window's median is t_lo == t_hi
+        return _midpoint(t_lo, t_hi)
+    above = _pairwise_bounds(x, t_lo)  # first column > t_lo
+    below = _pairwise_bounds(x, np.nextafter(t_hi, -np.inf))  # first column >= t_hi
+    ties = (above.sum() - pairs - lo) * t_lo + (hi + pairs - below.sum()) * t_hi
+    return float(ties + 0.5 * _square_sums(x, above, below)) / m

@@ -408,6 +408,8 @@ def mc_consistency_probe(
     the Monte Carlo estimate over consecutive seeds and reports relative
     deviations and the number within tolerance.
     """
+    if not isinstance(n_seeds, (int, np.integer)) or n_seeds < 1:
+        raise ArgumentError(f"n_seeds must be a positive integer, got {n_seeds!r}")
     x = family.sample(n, sample_seed)
     trim = TrimSpec(eps0=eps0, gamma=gamma)
     exact = hl_central_moment(x, k, trim, plan=ExactPlan()).value

@@ -271,6 +271,12 @@ class TestVerify:
         assert code == expected
         assert json.loads(out)["record"] == "mc-consistency"
 
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_no_seeds_is_usage_error(self, capsys, seeds):
+        code, out, err = run_cli(capsys, ["verify", "mc-consistency", "--n", "6", "--seeds", seeds])
+        assert (code, out) == (2, "")
+        assert f"error: argument --seeds: must be a positive integer, got {seeds}\n" in err
+
 
 class TestOutputContracts:
     def test_byte_identical_reruns(self, capsys, datafile):

@@ -464,6 +464,15 @@ class TestOverflow:
         assert abs(got - want) <= 1e-13 * want
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_selected_and_built_means_agree_where_the_sum_overflows(self):
+        x = np.linspace(-1.0, 1.0, 300) * 9e153
+        trim = TrimSpec(0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            selected = hl_central_moment(x, 2, trim).value
+            built = apply_lestimator(LEstimatorSpec.trimmed_mean(), build_pseudosample(x, 2), trim)
+        assert math.isfinite(built) and abs(selected - built) <= 1e-13 * built
+
 
 # Samples whose plain evaluation overflows somewhere: the sum behind the mean,
 # a difference or a power.

@@ -1,6 +1,7 @@
 """Kernel evaluation against exact brute-force expansion and closed forms."""
 
 import tracemalloc
+import warnings
 from fractions import Fraction
 from itertools import permutations
 
@@ -19,6 +20,7 @@ from hlmoments import (
     signed_binomial_sums,
 )
 from hlmoments.kernels import _TILE, _power_sum_coefficients
+from hlmoments.lstat import _OVERFLOW
 
 from oracles import (
     exact_kernel_expectation,
@@ -263,6 +265,19 @@ class TestValidation:
             central_moment_kernel([np.nan, 1.0])
         with pytest.raises(ArgumentError):
             central_moment_kernel([np.inf, 1.0])
+
+    @pytest.mark.parametrize("values", [
+        [1e100, -1e100, 0.0, 1.0],
+        [1e200, -1e200, 0.0],
+        [[0.0, 1.0, 3.0], [1e200, -1e200, 0.0]],
+        [[0.0, 1.0, 3.0, 4.0], [1e100, -1e100, 0.0, 1.0]],
+    ], ids=["tuple-k4", "tuple-k3", "batch-k3", "batch-k4"])
+    def test_overflow_is_the_overflow_error_without_warnings(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentError) as info:
+                central_moment_kernel(values)
+        assert str(info.value) == _OVERFLOW
 
 
 class TestTiles:

@@ -1,4 +1,4 @@
-"""Combinadics and pseudo-sample construction."""
+"""Combination counts and pseudo-sample construction."""
 
 import math
 import tracemalloc
@@ -6,8 +6,6 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hlmoments import (
     ArgumentError,
@@ -19,8 +17,6 @@ from hlmoments import (
     build_pseudosample,
     central_moment_kernel,
     count_combinations,
-    rank_combination,
-    unrank_combination,
 )
 from hlmoments.kernels import _TILE
 
@@ -40,40 +36,6 @@ class TestCountCombinations:
             count_combinations(3, 4)
         with pytest.raises(ArgumentError):
             count_combinations(-1, 0)
-
-
-class TestUnrank:
-    def test_known_values(self):
-        assert unrank_combination(0, 4, 2) == (0, 1)
-        assert unrank_combination(5, 4, 2) == (2, 3)
-        assert unrank_combination(9, 5, 3) == (2, 3, 4)
-
-    def test_matches_lexicographic_enumeration(self):
-        for n, k in [(6, 1), (6, 3), (8, 4), (9, 2), (10, 5), (7, 7)]:
-            expected = list(combinations(range(n), k))
-            got = [unrank_combination(r, n, k) for r in range(count_combinations(n, k))]
-            assert got == expected
-
-    def test_rank_out_of_range(self):
-        with pytest.raises(ArgumentError):
-            unrank_combination(6, 4, 2)
-        with pytest.raises(ArgumentError):
-            unrank_combination(-1, 4, 2)
-
-    @given(st.integers(1, 40), st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_round_trip(self, n, data):
-        k = data.draw(st.integers(0, min(n, 6)))
-        total = count_combinations(n, k)
-        r = data.draw(st.integers(0, total - 1))
-        combo = unrank_combination(r, n, k)
-        assert rank_combination(combo, n, k) == r
-
-    def test_rank_validates_subset(self):
-        with pytest.raises(ArgumentError):
-            rank_combination((2, 1), 4, 2)
-        with pytest.raises(ArgumentError):
-            rank_combination((0, 4), 4, 2)
 
 
 class TestExactBuild:

@@ -188,6 +188,11 @@ class TestMcConsistency:
         assert rep.passes == sum(d <= rep.tolerance for d in rep.rel_devs)
         assert max(rep.rel_devs) < 0.05
 
+    @pytest.mark.parametrize("n_seeds", [0, -3, 2.0])
+    def test_seed_count_must_be_a_positive_integer(self, n_seeds):
+        with pytest.raises(ArgumentError, match="n_seeds"):
+            mc_consistency_probe(n=6, k=3, draws=50, n_seeds=n_seeds)
+
 
 class TestReportSerialization:
     def test_round_trips(self):
