@@ -2,8 +2,7 @@
 
 Exact plans walk every one of the C(n, k) combinations (within a budget);
 Monte Carlo plans draw combinations uniformly with replacement using one
-RNG substream per block, so results are reproducible bit for bit per seed
-and independent of how the work is chunked.
+RNG substream per block, so results are reproducible bit for bit per seed.
 """
 
 import numpy as np
@@ -42,9 +41,6 @@ plan = MonteCarloPlan(draws=50_000, seed=99)
 a = build_pseudosample(x, 3, plan)
 b = build_pseudosample(x, 3, plan)
 print("same seed, bit-identical pseudo-samples:", np.array_equal(a, b))
-chunked = build_pseudosample(x, 3, ExactPlan(chunk=37))
-whole = build_pseudosample(x, 3, ExactPlan())
-print("exact plan, chunk 37 vs one block    :", np.array_equal(chunked, whole))
 
 print()
 print("=== capacity guard ===")

@@ -36,7 +36,7 @@ from .estimators import (
 )
 from .distributions import congruence_check, parse_family
 from .lstat import LEstimatorSpec, TrimSpec
-from .pseudosample import DEFAULT_BUDGET, DEFAULT_CHUNK, ExactPlan, MonteCarloPlan
+from .pseudosample import DEFAULT_BUDGET, ExactPlan, MonteCarloPlan
 from . import verify as _verify
 
 __all__ = ["main"]
@@ -99,15 +99,20 @@ def _load_sample(args) -> np.ndarray:
     return family.sample(args.n, args.sample_seed)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of the plan sizes: one that is not a positive integer is a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_type(low: int, kind: str):
+    """argparse type of the plan sizes and seeds: an integer below ``low`` is a usage error."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
+        return value
+    return parse
+
+
+_positive_int, _seed = _int_type(1, "positive"), _int_type(0, "non-negative")
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -119,7 +124,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def _build_plan(args):
     if args.mode == "monte-carlo":
-        return MonteCarloPlan(draws=args.draws, seed=args.plan_seed, chunk=args.chunk)
+        return MonteCarloPlan(draws=args.draws, seed=args.plan_seed)
     raw = os.environ.get(_BUDGET_ENV)  # checked for every exact plan, even under --budget
     try:
         budget = DEFAULT_BUDGET if raw is None else int(raw)
@@ -127,7 +132,7 @@ def _build_plan(args):
         raise _InputError(f"{_BUDGET_ENV}={raw!r} is not an integer") from exc
     if budget < 1:
         raise _InputError(f"{_BUDGET_ENV} must be positive, got {budget}")
-    return ExactPlan(budget=budget if args.budget is None else args.budget, chunk=args.chunk)
+    return ExactPlan(budget=budget if args.budget is None else args.budget)
 
 
 def _flatten(value):
@@ -261,21 +266,16 @@ def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", help="CSV file of reals (one per line or comma-separated)")
     p.add_argument("--family", help="draw the sample from a family, e.g. 'weibull(1,1)'")
     p.add_argument("--n", type=int, default=100, help="sample size when drawing")
-    p.add_argument("--sample-seed", type=int, default=0, help="seed when drawing")
+    p.add_argument("--sample-seed", type=_seed, default=0, help="seed when drawing")
 
 
 def _add_plan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("exact", "monte-carlo"), default="exact")
     p.add_argument("--draws", type=_positive_int, default=10**6, help="Monte Carlo draw count")
-    p.add_argument("--plan-seed", type=int, default=0, help="Monte Carlo seed")
+    p.add_argument("--plan-seed", type=_seed, default=0, help="Monte Carlo seed")
     p.add_argument(
         "--budget", type=_positive_int, default=None,
         help=f"exact-mode cap on C(n, k), even where k = 2 pairs are not built (env {_BUDGET_ENV})",
-    )
-    p.add_argument(
-        "--chunk", type=_positive_int, default=DEFAULT_CHUNK,
-        help="combinations gathered at once (O(chunk * k) memory beyond the output); "
-             "the kernel's temporaries are bounded by its fixed row tile",
     )
 
 
@@ -330,7 +330,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--trials", type=int, default=10**4)
     p_ver.add_argument("--draws", type=_positive_int, default=10**6)
     p_ver.add_argument("--seeds", type=_positive_int, default=10, help="Monte Carlo seed count")
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=_seed, default=0)
     p_ver.add_argument("--bins", type=int, default=None)
     p_ver.add_argument("--resolution", type=int, default=100)
     p_ver.add_argument("--tolerance", type=float, default=1e-2)

@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 _EPS_MACH = np.finfo(np.float64).eps
+_DEAD_BAND = 1e-12  # |dQA/dparam| below this is a zero sign, whatever the noise floor
+_CONGRUENCE_DELTA = 1e-4  # the congruence scan's smallest eps
 
 
 def _open_unit(rng: np.random.Generator, size) -> np.ndarray:
@@ -92,9 +94,12 @@ class Family:
         raise NotImplementedError
 
     def sample(self, n: int, seed) -> np.ndarray:
-        """n i.i.d. draws by inverse transform; deterministic per seed."""
+        """n i.i.d. draws by inverse transform; fixed by seed, an int >= 0 or a SeedSequence."""
         if not isinstance(n, (int, np.integer)) or n < 1:
             raise ArgumentError(f"n must be a positive integer, got {n!r}")
+        if not (isinstance(seed, np.random.SeedSequence)
+                or isinstance(seed, (int, np.integer)) and seed >= 0):
+            raise ArgumentError(f"seed must be a non-negative integer, got {seed!r}")
         rng = np.random.default_rng(seed)
         return self._q(_open_unit(rng, int(n)))
 
@@ -366,12 +371,11 @@ def qa_partial_sign(
     eps: float,
     gamma: float,
     h: float | None = None,
-    dead_band: float = 1e-12,
 ) -> int:
     """Sign of dQA/dparam by central differences, with a noise dead band.
 
     Returns +1, -1, or 0.  Zero means the estimate is indistinguishable from
-    zero: below ``dead_band`` or below the rounding-noise floor of the
+    zero: below ``_DEAD_BAND`` or below the rounding-noise floor of the
     difference quotient (a few ulps of the quantile magnitudes divided by
     the step), and is treated as compatible with either sign.
     """
@@ -393,7 +397,7 @@ def qa_partial_sign(
         abs(fm.quantile(1.0 - eps)),
     )
     noise_floor = 8.0 * _EPS_MACH * qmag / h
-    if abs(est) < max(dead_band, noise_floor):
+    if abs(est) < max(_DEAD_BAND, noise_floor):
         return 0
     return 1 if est > 0 else -1
 
@@ -436,10 +440,9 @@ def congruence_check(
     param: str,
     gamma: float = 1.0,
     grid_size: int = 64,
-    delta: float = 1e-4,
     h: float | None = None,
 ) -> CongruenceVerdict:
-    """Scan dQA/dparam signs over a geometric eps grid in (delta, 1/(1+gamma)].
+    """Scan dQA/dparam signs over a geometric eps grid in [1e-4, 1/(1+gamma)].
 
     Verdicts: "congruent" when all nonzero signs agree (dead-band zeros are
     compatible with either sign), "non-congruent" when clean conflicting
@@ -451,10 +454,7 @@ def congruence_check(
     gamma = float(gamma)
     if not (math.isfinite(gamma) and gamma > 0):
         raise ArgumentError(f"gamma must be positive, got {gamma}")
-    hi = 1.0 / (1.0 + gamma)
-    if not 0 < delta < hi:
-        raise ArgumentError(f"delta must lie in (0, {hi}), got {delta}")
-    grid = np.geomspace(delta, hi, int(grid_size))
+    grid = np.geomspace(_CONGRUENCE_DELTA, 1.0 / (1.0 + gamma), int(grid_size))
     signs = tuple(qa_partial_sign(family, param, float(e), gamma, h=h) for e in grid)
     nonzero = [s for s in signs if s != 0]
     if not nonzero or all(s == nonzero[0] for s in nonzero):

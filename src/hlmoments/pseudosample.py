@@ -4,8 +4,7 @@ The sample is sorted once and every index tuple is strictly increasing, so
 every gathered row is ascending already.  Exact mode enumerates all C(n, k)
 combinations in colexicographic blocks.  Monte Carlo mode draws combinations
 uniformly with replacement, with one RNG substream per block of 2^18 draws,
-so the result depends only on (sample, draws, seed) and never on the plan's
-``chunk`` or on how blocks are scheduled.
+so the result depends only on (sample, draws, seed).
 
 The returned pseudo-sample is sorted ascending with -0.0 normalized to +0.0,
 making it bit-reproducible.
@@ -40,11 +39,11 @@ __all__ = [
 #: Default cap on C(n, k) for exact enumeration.
 DEFAULT_BUDGET = 50_000_000
 
-#: Default combinations (or draws) gathered and evaluated at once.
+#: Combinations gathered and evaluated at once by an exact plan.
 DEFAULT_CHUNK = 1 << 18
 
-# Draws per Monte Carlo RNG substream.  It defines the stream, so it is
-# fixed: changing it changes every Monte Carlo result.
+# Draws per Monte Carlo RNG substream, gathered and evaluated at once.  It
+# defines the stream, so it is fixed: changing it changes every Monte Carlo result.
 _MC_BLOCK = 1 << 18
 
 _MAX_UINT64 = 2**64 - 1
@@ -59,41 +58,36 @@ _SELECT_PROBE, _SELECT_PIVOTS, _SELECT_GATHER, _SELECT_HOLD = 4096, np.array([-6
 class ExactPlan:
     """Enumerate every combination, provided C(n, k) <= budget.
 
-    Gathers at most ``chunk`` combinations at once: beyond the C(n, k) output
-    values they take O(chunk * k) memory, however large C(n, k) is, and the
-    kernel's own temporaries are bounded by its fixed row tile.
+    Gathers at most ``DEFAULT_CHUNK`` combinations at once: beyond the
+    C(n, k) output values they take O(DEFAULT_CHUNK * k) memory, however
+    large C(n, k) is, and the kernel's own temporaries are bounded by its
+    fixed row tile.
     """
 
     budget: int = DEFAULT_BUDGET
-    chunk: int = DEFAULT_CHUNK
 
     def __post_init__(self):
         if not isinstance(self.budget, (int, np.integer)) or self.budget < 1:
             raise ArgumentError(f"budget must be a positive integer, got {self.budget!r}")
-        if not isinstance(self.chunk, (int, np.integer)) or self.chunk < 1:
-            raise ArgumentError(f"chunk must be a positive integer, got {self.chunk!r}")
 
 
 @dataclass(frozen=True)
 class MonteCarloPlan:
     """Draw ``draws`` combinations uniformly with replacement, seeded.
 
-    Gathers at most ``chunk`` combinations at once: beyond the ``draws``
-    output values they take O(chunk * k) memory plus one block of 2^18 draws,
-    and the kernel's own temporaries are bounded by its fixed row tile.
+    Gathers one block of 2^18 draws at once: beyond the ``draws`` output
+    values it takes O(2^18 * k) memory, and the kernel's own temporaries
+    are bounded by its fixed row tile.
     """
 
     draws: int
     seed: int = 0
-    chunk: int = DEFAULT_CHUNK
 
     def __post_init__(self):
         if not isinstance(self.draws, (int, np.integer)) or self.draws < 1:
             raise ArgumentError(f"draws must be >= 1, got {self.draws!r}")
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed <= _MAX_UINT64:
             raise ArgumentError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not isinstance(self.chunk, (int, np.integer)) or self.chunk < 1:
-            raise ArgumentError(f"chunk must be a positive integer, got {self.chunk!r}")
 
 
 PseudoPlan = Union[ExactPlan, MonteCarloPlan]
@@ -138,16 +132,14 @@ def _sample_index_combinations(
 
 
 def _monte_carlo_rows(x: np.ndarray, k: int, plan: MonteCarloPlan):
-    """Yield the plan's drawn rows of x, at most ``plan.chunk`` at a time.
+    """Yield the plan's drawn rows of x, one block of _MC_BLOCK draws at a time.
 
-    Block b of _MC_BLOCK draws comes from its own substream keyed by
-    (seed, b), so the stream is fixed by (n, k, plan.draws, plan.seed) alone.
+    Block b comes from its own substream keyed by (seed, b), so the stream
+    is fixed by (n, k, plan.draws, plan.seed) alone.
     """
     for block, start in enumerate(range(0, plan.draws, _MC_BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(block,)))
-        sel = _sample_index_combinations(rng, x.size, k, min(_MC_BLOCK, plan.draws - start))
-        for at in range(0, sel.shape[0], plan.chunk):
-            yield x[sel[at:at + plan.chunk]]
+        yield x[_sample_index_combinations(rng, x.size, k, min(_MC_BLOCK, plan.draws - start))]
 
 
 def _exact_rows(x: np.ndarray, k: int, chunk: int):
@@ -237,7 +229,7 @@ def build_pseudosample(sample, k: int, plan: PseudoPlan = ExactPlan()) -> np.nda
     """
     k, x, total = _sorted_sample(sample, k, plan)
     if isinstance(plan, ExactPlan):
-        chunks = _exact_rows(x, k, plan.chunk)
+        chunks = _exact_rows(x, k, DEFAULT_CHUNK)
     else:
         chunks = _monte_carlo_rows(x, k, plan)
     out = np.empty(total)

@@ -108,7 +108,6 @@ class TestEstimate:
         assert code == 0
         want = hl_standardized_moment(x, 3, TrimSpec(0.1), trim_scale=TrimSpec(0.2, 0.5))
         assert json.loads(out) == want.to_dict()
-        assert run_cli(capsys, argv + ["--chunk", "7"]) == (0, out, "")
 
     def test_family_source_with_monte_carlo(self, capsys):
         code, out, _ = run_cli(
@@ -337,10 +336,8 @@ class TestOutputContracts:
 
     @pytest.mark.parametrize("argv", [
         ["estimate", "--k", "2", "--budget"],
-        ["estimate", "--k", "2", "--chunk"],
         ["estimate", "--k", "2", "--mode", "monte-carlo", "--draws"],
         ["tsd", "--budget"],
-        ["tsd", "--mode", "monte-carlo", "--chunk"],
         ["verify", "mc-consistency", "--n", "6", "--draws"],
     ], ids=lambda argv: f"{argv[0]}{argv[-1]}")
     @pytest.mark.parametrize("value, message", [
@@ -356,3 +353,26 @@ class TestOutputContracts:
         code, out, err = run_cli(capsys, [*argv[:1], *data, *argv[1:], value])
         assert (code, out) == (2, "")
         assert f"error: argument {argv[-1]}: {message}\n" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--k", "2", "--sample-seed"],
+        ["tsd", "--mode", "monte-carlo", "--sample-seed"],
+        ["estimate", "--k", "2", "--mode", "monte-carlo", "--plan-seed"],
+        ["tsd", "--mode", "monte-carlo", "--plan-seed"],
+        ["verify", "equivariance", "--trials", "10", "--seed"],
+        ["verify", "mc-consistency", "--n", "6", "--seed"],
+    ], ids=lambda argv: f"{argv[1] if argv[0] == 'verify' else argv[0]}{argv[-1]}")
+    def test_negative_seeds_are_usage_errors(self, capsys, argv):
+        # exit 2 from the parser, not a numpy traceback (exit 1) or a domain error (exit 3)
+        data = [] if argv[0] == "verify" else ["--family", "normal(0,1)", "--n", "5"]
+        code, out, err = run_cli(capsys, [*argv[:1], *data, *argv[1:], "-1"])
+        assert (code, out) == (2, "")
+        assert f"error: argument {argv[-1]}: must be a non-negative integer, got -1\n" in err
+
+    @pytest.mark.parametrize("argv", [["estimate", "--k", "2"], ["tsd"]], ids=lambda a: a[0])
+    def test_chunk_is_not_an_option(self, capsys, datafile, argv):
+        # the gather size changes no result, so it is fixed, not settable
+        data = ["--input", datafile("0,1,2\n")]
+        code, out, err = run_cli(capsys, [*argv[:1], *data, *argv[1:], "--chunk", "7"])
+        assert (code, out) == (2, "")
+        assert "error: unrecognized arguments: --chunk 7\n" in err

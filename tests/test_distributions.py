@@ -125,6 +125,17 @@ class TestSampling:
         assert np.array_equal(f.sample(100, 7), f.sample(100, 7))
         assert not np.array_equal(f.sample(100, 7), f.sample(100, 8))
 
+    def test_seed_sequences_are_seeds(self):
+        f = Weibull(1.0, 1.0)
+        a = f.sample(10, np.random.SeedSequence(7, spawn_key=(1, 2)))
+        assert np.array_equal(a, f.sample(10, np.random.SeedSequence(7, spawn_key=(1, 2))))
+        assert np.array_equal(f.sample(10, np.int64(7)), f.sample(10, 7))
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-1), 2.5, 3.0, "7", None])
+    def test_seed_that_is_not_a_non_negative_integer_rejected(self, seed):
+        with pytest.raises(ArgumentError, match="seed must be a non-negative integer"):
+            Weibull(1.0, 1.0).sample(10, seed)
+
     def test_uniform_range(self):
         x = Uniform(0.0, 1.0).sample(1000, 3)
         assert np.all((x > 0) & (x < 1))

@@ -383,22 +383,6 @@ class TestPairwiseSelection:
         with pytest.raises(ArgumentError):
             hl_central_moment(x, 2.0)
 
-    @pytest.mark.parametrize("n", [100, N_SELECTED])
-    def test_chunk_does_not_change_results(self, n):
-        x = np.random.default_rng(6).gamma(2.0, 1.0, size=n)
-
-        def results(plan):
-            return [
-                trimmed_sd_pairwise(x, 0.1, plan=plan).value,
-                hl_central_moment(x, 2, TrimSpec(0.2, 0.5), plan=plan).value,
-                hl_central_moment(x, 2, TrimSpec(0.1), LEstimatorSpec.median(), plan).value,
-                hl_standardized_moment(x[:40], 3, TrimSpec(0.1), plan=plan).value,
-            ]
-
-        want = results(ExactPlan())
-        for chunk in (7, 4096):
-            assert results(ExactPlan(chunk=chunk)) == want, chunk
-
     @pytest.mark.parametrize("sample", [["a", "b", "c"], [1.0, {}, 2.0], [[1.0], [2.0, 3.0]]])
     def test_non_numeric_sample_is_argument_error(self, sample):
         with pytest.raises(ArgumentError):

@@ -12,13 +12,28 @@ from hlmoments import (
     CapacityError,
     CombinationOverflowError,
     ExactPlan,
-    DEFAULT_CHUNK,
     MonteCarloPlan,
     build_pseudosample,
     central_moment_kernel,
     count_combinations,
+    kernel_values,
 )
 from hlmoments.kernels import _TILE
+from hlmoments.pseudosample import _exact_rows, _monte_carlo_rows
+
+
+def exact_rows(x, k, chunk):
+    """The blocks of rows of the sorted x that ``_exact_rows`` yields with gather
+    size ``chunk``, each copied out of the one buffer they all share."""
+    return [rows.copy() for rows in _exact_rows(np.sort(x), k, chunk)]
+
+
+def pseudosample_of(blocks, k):
+    """Sorted psi_k of row blocks, evaluated block by block as build_pseudosample does."""
+    out = np.concatenate([kernel_values(rows, k) for rows in blocks])
+    out += 0.0
+    out.sort()
+    return out
 
 
 class TestCountCombinations:
@@ -58,15 +73,14 @@ class TestExactBuild:
         assert np.all(np.diff(out) >= 0)
 
     def test_partition_completeness(self):
-        # chunked enumeration covers exactly the full combination set
-        rng = np.random.default_rng(23)
-        x = rng.normal(size=13)
-        full = np.sort(
-            central_moment_kernel(x[np.array(list(combinations(range(13), 3)))], 3) + 0.0
-        )
+        # every gather size covers exactly the full combination set, in blocks
+        # of at most that many rows; on x = 0..12 the rows are the index tuples
+        full = list(combinations(range(13), 3))
         for chunk in (1, 7, 50, 10**6):
-            got = build_pseudosample(x, 3, ExactPlan(chunk=chunk))
-            assert np.array_equal(got, full)
+            blocks = exact_rows(np.arange(13.0), 3, chunk)
+            assert max(rows.shape[0] for rows in blocks) <= chunk
+            got = sorted(map(tuple, np.vstack(blocks).astype(int).tolist()))
+            assert got == full, chunk
 
     @pytest.mark.parametrize("k", range(2, 13))
     @pytest.mark.parametrize("offset", [0.0, 1e4])
@@ -81,22 +95,31 @@ class TestExactBuild:
         want = np.sort(
             central_moment_kernel(x[np.array(list(combinations(range(n), k)))], k) + 0.0
         )
+        assert build_pseudosample(x, k).tobytes() == want.tobytes()
         # (k - 1) * C(n - 2, k - 1) keeps every top-index block whole but
         # the last, which it splits
         splitting = (k - 1) * math.comb(n - 2, k - 1)
         for chunk in (1, 7, splitting, 10**6):
-            got = build_pseudosample(x, k, ExactPlan(chunk=chunk))
+            got = pseudosample_of(exact_rows(x, k, chunk), k)
             assert got.tobytes() == want.tobytes(), chunk
 
     def test_working_memory_is_bounded_by_chunk(self):
         # C(29, 5) = 118755 subsets share the largest index, far more than
         # the chunk; only the output may grow with C(n, k)
-        x = np.random.default_rng(30).normal(size=30)
+        x = np.sort(np.random.default_rng(30).normal(size=30))
         chunk = 4096
-        build_pseudosample(x[:8], 6, ExactPlan(chunk=chunk))  # warm caches
+
+        def evaluate(x):
+            out, at = np.empty(math.comb(x.size, 6)), 0
+            for rows in _exact_rows(x, 6, chunk):
+                out[at:at + rows.shape[0]] = kernel_values(rows, 6)
+                at += rows.shape[0]
+            return out
+
+        evaluate(x[:8])  # warm caches
         tracemalloc.start()
         try:
-            out = build_pseudosample(x, 6, ExactPlan(chunk=chunk))
+            out = evaluate(x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -115,7 +138,7 @@ class TestExactBuild:
         with pytest.raises(ArgumentError):
             build_pseudosample([1.0, np.nan, 2.0], 2)
 
-    @pytest.mark.parametrize("plan", [ExactPlan(chunk=2), MonteCarloPlan(draws=50, seed=1)])
+    @pytest.mark.parametrize("plan", [ExactPlan(), MonteCarloPlan(draws=50, seed=1)])
     def test_nan_kernel_value_rejected(self, plan):
         # finite inputs whose kernel overflows to inf - inf
         with np.errstate(all="ignore"), pytest.raises(ArgumentError):
@@ -128,15 +151,21 @@ class TestExactBuild:
 
 
 class TestKernelTiles:
-    @pytest.mark.parametrize("plan", [ExactPlan, lambda chunk: MonteCarloPlan(20_000, 5, chunk)],
+    @pytest.mark.parametrize("plan", [ExactPlan(), MonteCarloPlan(20_000, 5)],
                              ids=["exact", "monte-carlo"])
     @pytest.mark.parametrize("n, k", [(50, 3), (20, 5)])
     def test_chunks_around_the_kernel_tile_change_no_bit(self, plan, n, k):
-        # C(50, 3) = 19600 and C(20, 5) = 15504 rows span several kernel tiles
+        # C(50, 3) = 19600 and C(20, 5) = 15504 rows span several kernel tiles;
+        # exact rows are gathered that many at a time, drawn rows split after
         x = np.random.default_rng(n).lognormal(size=n)
-        want = build_pseudosample(x, k, plan(chunk=DEFAULT_CHUNK))
+        want = build_pseudosample(x, k, plan)
         for chunk in (1, _TILE - 1, _TILE + 1):
-            assert build_pseudosample(x, k, plan(chunk=chunk)).tobytes() == want.tobytes(), chunk
+            if isinstance(plan, ExactPlan):
+                blocks = exact_rows(x, k, chunk)
+            else:
+                (drawn,) = _monte_carlo_rows(np.sort(x), k, plan)  # one block of draws
+                blocks = [drawn[a:a + chunk] for a in range(0, plan.draws, chunk)]
+            assert pseudosample_of(blocks, k).tobytes() == want.tobytes(), chunk
 
 
 class TestMonteCarloBuild:
@@ -148,14 +177,15 @@ class TestMonteCarloBuild:
         b = build_pseudosample(x, 3, plan)
         assert np.array_equal(a, b)
 
-    def test_chunk_does_not_change_result(self):
-        # the RNG substreams are keyed on fixed blocks, not on the chunk;
-        # 600k draws span three blocks, the last one partial
-        x = np.random.default_rng(6).normal(size=25)
-        want = build_pseudosample(x, 3, MonteCarloPlan(draws=600_000, seed=7))
-        for chunk in (1000, 4096, 10**6):
-            got = build_pseudosample(x, 3, MonteCarloPlan(draws=600_000, seed=7, chunk=chunk))
-            assert np.array_equal(got, want), chunk
+    def test_blocks_are_substreams_of_the_seed(self):
+        # 600k draws span three blocks, the last one partial; block b is drawn
+        # from (seed, b) alone, so it does not depend on the total draw count
+        x = np.sort(np.random.default_rng(6).normal(size=25))
+        blocks = list(_monte_carlo_rows(x, 3, MonteCarloPlan(draws=600_000, seed=7)))
+        assert [rows.shape[0] for rows in blocks] == [1 << 18, 1 << 18, 600_000 - (1 << 19)]
+        (first,) = _monte_carlo_rows(x, 3, MonteCarloPlan(draws=1 << 18, seed=7))
+        assert np.array_equal(blocks[0], first)
+        assert not np.array_equal(blocks[0], blocks[1])
 
     def test_different_seeds_differ(self):
         x = np.random.default_rng(5).normal(size=25)
