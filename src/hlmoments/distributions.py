@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import gamma as _gamma_fn
 from scipy.special import gammainc, gammaincinv, gammaln, ndtr, ndtri
 
-from .errors import ArgumentError
+from .errors import ArgumentError, _integer
 from .records import Record
 
 __all__ = [
@@ -95,13 +95,10 @@ class Family:
 
     def sample(self, n: int, seed) -> np.ndarray:
         """n i.i.d. draws by inverse transform; fixed by seed, an int >= 0 or a SeedSequence."""
-        if not isinstance(n, (int, np.integer)) or n < 1:
-            raise ArgumentError(f"n must be a positive integer, got {n!r}")
-        if not (isinstance(seed, np.random.SeedSequence)
-                or isinstance(seed, (int, np.integer)) and seed >= 0):
-            raise ArgumentError(f"seed must be a non-negative integer, got {seed!r}")
-        rng = np.random.default_rng(seed)
-        return self._q(_open_unit(rng, int(n)))
+        n = _integer("n", n, 1)
+        if not isinstance(seed, np.random.SeedSequence):
+            seed = _integer("seed", seed, 0)
+        return self._q(_open_unit(np.random.default_rng(seed), n))
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -449,12 +446,11 @@ def congruence_check(
     signs appear, "inconclusive" when signs conflict but some estimates sat
     in the dead band.
     """
-    if not isinstance(grid_size, (int, np.integer)) or grid_size < 8:
-        raise ArgumentError(f"grid_size must be an integer >= 8, got {grid_size!r}")
+    grid_size = _integer("grid_size", grid_size, 8)
     gamma = float(gamma)
     if not (math.isfinite(gamma) and gamma > 0):
         raise ArgumentError(f"gamma must be positive, got {gamma}")
-    grid = np.geomspace(_CONGRUENCE_DELTA, 1.0 / (1.0 + gamma), int(grid_size))
+    grid = np.geomspace(_CONGRUENCE_DELTA, 1.0 / (1.0 + gamma), grid_size)
     signs = tuple(qa_partial_sign(family, param, float(e), gamma, h=h) for e in grid)
     nonzero = [s for s in signs if s != 0]
     if not nonzero or all(s == nonzero[0] for s in nonzero):

@@ -1,11 +1,19 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and the one rule for integer arguments.
 
 Public functions never raise a bare ValueError: every contract violation maps
 to one of the semantic errors below so callers (and the CLI) can translate
 failures into stable exit codes.
+
+Every integer parameter of the public API (orders, counts, sizes, seeds) is
+checked by ``_integer``: it takes any ``numbers.Integral`` but ``bool`` (so
+``np.int64`` too) within the parameter's range and returns a Python ``int``;
+anything else (``2.5``, ``3.0``, ``True``, an out-of-range value) raises
+``ArgumentError``.
 """
 
 from __future__ import annotations
+
+import numbers
 
 __all__ = [
     "ArgumentError",
@@ -54,3 +62,16 @@ class CapacityError(EstimatorError):
 
 class CombinationOverflowError(CapacityError):
     """A combination count does not fit in 64 bits; use Monte Carlo instead."""
+
+
+def _integer(name: str, value, low: int, high: int | None = None) -> int:
+    """``value`` as an ``int`` if it is an integer, not a bool, in [low, high]."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and low <= value and (high is None or value <= high)):
+        return int(value)
+    if high is not None:
+        want = f"an integer in [{low}, {high}]"
+    else:
+        want = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            low, f"an integer >= {low}")
+    raise ArgumentError(f"{name} must be {want}, got {value!r}")

@@ -29,7 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ArgumentError, DegenerateSampleError, DegenerateTrimError
+from .errors import ArgumentError, DegenerateSampleError, DegenerateTrimError, _integer
+from .kernels import _check_order
 from .lstat import (
     LEstimatorSpec,
     TrimSpec,
@@ -86,6 +87,7 @@ def _estimate(sample, k, trim, estimator, plan) -> MomentEstimate:
         raise ArgumentError(f"trim must be a TrimSpec, got {trim!r}")
     if not isinstance(estimator, LEstimatorSpec):
         raise ArgumentError(f"estimator must be an LEstimatorSpec, got {estimator!r}")
+    k = _check_order(k)
     if k == 2 and estimator.kind != "weighted" and isinstance(plan, ExactPlan):
         _, x, pseudo_n = _sorted_sample(sample, k, plan)
         value = _homogeneous(lambda s: _pairwise_window(s, trim, estimator.kind), x, 2)
@@ -94,12 +96,12 @@ def _estimate(sample, k, trim, estimator, plan) -> MomentEstimate:
         value, pseudo_n = apply_lestimator(estimator, pseudo, trim), pseudo.size
     return MomentEstimate(
         value=value,
-        k=int(k),
+        k=k,
         eps0=trim.eps0,
         gamma=trim.gamma,
-        eps=breakdown_from_trim(trim.eps0, int(k)),
+        eps=breakdown_from_trim(trim.eps0, k),
         n=int(np.asarray(sample).size),
-        pseudo_n=int(pseudo_n),
+        pseudo_n=pseudo_n,
         method=f"hl-central-moment/{estimator.kind}",
         seed=plan.seed if isinstance(plan, MonteCarloPlan) else None,
     )
@@ -137,8 +139,7 @@ def hl_standardized_moment(
     a > 0; for odd k the sign flips when a < 0.  The reported breakdown is
     the smaller of the numerator's and denominator's.
     """
-    if not isinstance(k, (int, np.integer)) or k < 3:
-        raise ArgumentError(f"standardized moments need k >= 3, got {k!r}")
+    k = _integer("k", k, 3)
     if trim_scale is None:
         trim_scale = trim
     num = hl_central_moment(sample, k, trim, estimator, plan)
@@ -202,9 +203,8 @@ def trimmed_sd_symmetric(sample, eps: float = 0.0) -> MomentEstimate:
 
 def sample_central_moment(sample, k: int) -> float:
     """Plug-in moment m_k = mean((x - mean(x))^k); biased, non-robust comparator."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ArgumentError(f"k must be a positive integer, got {k!r}")
-    return _homogeneous(lambda x: np.mean((x - x.mean()) ** k), _checked_sample(sample, 1), k)
+    k = _integer("k", k, 1)
+    return _homogeneous(lambda x: np.mean(_centred(x) ** k), _checked_sample(sample, 1), k)
 
 
 def h_statistic(sample, k: int) -> float:
@@ -213,15 +213,22 @@ def h_statistic(sample, k: int) -> float:
     These are the classical h-statistics; they equal the kernel U-statistic
     and serve as an independent cross-check of the enumeration route.
     """
-    if not isinstance(k, (int, np.integer)) or k not in (2, 3, 4):
-        raise ArgumentError(f"h_statistic supports k in {{2, 3, 4}}, got {k!r}")
+    k = _integer("k", k, 2, 4)
     x = _checked_sample(sample, k)
     return _homogeneous(lambda s: _h_statistic(s, k), x, k)
 
 
+def _centred(x: np.ndarray) -> np.ndarray:
+    """x - mean(x), taken about x[0] first, so no sum of values near the double
+    limit overflows and the rounding scales with the spread, not the location."""
+    d = x - x[0]
+    d -= d.mean()
+    return d
+
+
 def _h_statistic(x: np.ndarray, k: int) -> float:
     n = x.size
-    d = x - x.mean()
+    d = _centred(x)
     if k == 2:
         return (d @ d) / (n - 1)
     if k == 3:

@@ -43,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ArgumentError, UnsupportedOrderError
+from .errors import ArgumentError, UnsupportedOrderError, _integer
 from .lstat import _OVERFLOW
 
 __all__ = [
@@ -68,11 +68,7 @@ _TILE = 1 << 13
 
 
 def _check_order(k) -> int:
-    if not isinstance(k, (int, np.integer)):
-        raise ArgumentError(f"moment order must be an integer, got {k!r}")
-    k = int(k)
-    if k < 2:
-        raise ArgumentError(f"moment order must be >= 2, got {k}")
+    k = _integer("moment order k", k, 2)
     if k > MAX_ORDER:
         raise UnsupportedOrderError(
             f"moment order {k} exceeds the supported cap {MAX_ORDER}"
@@ -225,11 +221,7 @@ def boundary_kernel_value(k: int, i: int, a: float, b: float) -> float:
     the kernel distribution.
     """
     k = _check_order(k)
-    if not isinstance(i, (int, np.integer)):
-        raise ArgumentError(f"i must be an integer, got {i!r}")
-    i = int(i)
-    if not 1 <= i <= k - 1:
-        raise ArgumentError(f"need 1 <= i <= k-1, got i={i} for k={k}")
+    i = _integer("i", i, 1, k - 1)
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -272,12 +264,8 @@ def signed_binomial_sums(k: int, h: int) -> tuple[Fraction, Fraction]:
     (h-2) (-1)^k respectively, which is what cancels every shift term in
     psi_k(lambda*x + mu).  Returned as exact rationals.
     """
-    if not isinstance(k, (int, np.integer)) or not isinstance(h, (int, np.integer)):
-        raise ArgumentError("k and h must be integers")
-    k = int(k)
-    h = int(h)
-    if k < 2 or not 2 <= h <= k:
-        raise ArgumentError(f"need 2 <= h <= k with k >= 2, got k={k}, h={h}")
+    k = _integer("k", k, 2)
+    h = _integer("h", h, 2, k)
     s1 = Fraction(0)
     s2 = Fraction(0)
     for g in range(k - h + 1, k):

@@ -32,6 +32,7 @@ from .errors import (
     ConfigurationError,
     ContractViolationError,
     DegenerateTrimError,
+    _integer,
 )
 
 __all__ = [
@@ -83,10 +84,6 @@ class TrimSpec:
                 "no retained window"
             )
 
-    def breakdown(self, k: int) -> float:
-        """Sample-level breakdown point induced on k-subset pseudo-samples."""
-        return breakdown_from_trim(self.eps0, k)
-
 
 @dataclass(frozen=True)
 class LEstimatorSpec:
@@ -126,8 +123,7 @@ class LEstimatorSpec:
 
 def retained_window(n: int, trim: TrimSpec) -> tuple[int, int]:
     """Half-open 0-based index window [lo, hi) retained after trimming."""
-    if n < 1:
-        raise ArgumentError(f"window requires n >= 1, got {n}")
+    n = _integer("n", n, 1)
     lo = math.ceil(_snap(n * trim.gamma * trim.eps0))
     hi = math.floor(_snap(n * (1.0 - trim.eps0)))
     if hi - lo < 1:
@@ -214,15 +210,13 @@ def apply_lestimator(
 
 def breakdown_from_trim(eps0: float, k: int) -> float:
     """Sample breakdown eps = 1 - (1 - eps0)^(1/k) for k-subset pseudo-samples."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ArgumentError(f"k must be a positive integer, got {k!r}")
+    k = _integer("k", k, 1)
     _check_fraction("eps0", eps0, 1.0)
     return 1.0 - (1.0 - eps0) ** (1.0 / k)
 
 
 def trim_from_breakdown(eps: float, k: int) -> float:
     """Inverse of :func:`breakdown_from_trim`: eps0 = 1 - (1 - eps)^k."""
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ArgumentError(f"k must be a positive integer, got {k!r}")
+    k = _integer("k", k, 1)
     _check_fraction("eps", eps, 1.0)
     return 1.0 - (1.0 - eps) ** k

@@ -22,13 +22,13 @@ from .errors import (
     ArgumentError,
     CapacityError,
     CombinationOverflowError,
+    _integer,
 )
 from .kernels import _check_order, _psi2, kernel_values
 from .lstat import _OVERFLOW, TrimSpec, _midpoint, retained_window
 
 __all__ = [
     "DEFAULT_BUDGET",
-    "DEFAULT_CHUNK",
     "ExactPlan",
     "MonteCarloPlan",
     "PseudoPlan",
@@ -39,8 +39,9 @@ __all__ = [
 #: Default cap on C(n, k) for exact enumeration.
 DEFAULT_BUDGET = 50_000_000
 
-#: Combinations gathered and evaluated at once by an exact plan.
-DEFAULT_CHUNK = 1 << 18
+# Combinations gathered and evaluated at once by an exact plan.  It changes no
+# bit of the result, so no plan carries it.
+_CHUNK = 1 << 18
 
 # Draws per Monte Carlo RNG substream, gathered and evaluated at once.  It
 # defines the stream, so it is fixed: changing it changes every Monte Carlo result.
@@ -58,17 +59,15 @@ _SELECT_PROBE, _SELECT_PIVOTS, _SELECT_GATHER, _SELECT_HOLD = 4096, np.array([-6
 class ExactPlan:
     """Enumerate every combination, provided C(n, k) <= budget.
 
-    Gathers at most ``DEFAULT_CHUNK`` combinations at once: beyond the
-    C(n, k) output values they take O(DEFAULT_CHUNK * k) memory, however
-    large C(n, k) is, and the kernel's own temporaries are bounded by its
-    fixed row tile.
+    Gathers at most 2^18 combinations at once: beyond the C(n, k) output
+    values they take O(2^18 * k) memory, however large C(n, k) is, and the
+    kernel's own temporaries are bounded by its fixed row tile.
     """
 
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
-        if not isinstance(self.budget, (int, np.integer)) or self.budget < 1:
-            raise ArgumentError(f"budget must be a positive integer, got {self.budget!r}")
+        object.__setattr__(self, "budget", _integer("budget", self.budget, 1))
 
 
 @dataclass(frozen=True)
@@ -84,10 +83,8 @@ class MonteCarloPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.draws, (int, np.integer)) or self.draws < 1:
-            raise ArgumentError(f"draws must be >= 1, got {self.draws!r}")
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed <= _MAX_UINT64:
-            raise ArgumentError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        object.__setattr__(self, "draws", _integer("draws", self.draws, 1))
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0, _MAX_UINT64))
 
 
 PseudoPlan = Union[ExactPlan, MonteCarloPlan]
@@ -95,12 +92,8 @@ PseudoPlan = Union[ExactPlan, MonteCarloPlan]
 
 def count_combinations(n: int, k: int) -> int:
     """Exact C(n, k); raises once the count no longer fits in 64 bits."""
-    if not isinstance(n, (int, np.integer)) or not isinstance(k, (int, np.integer)):
-        raise ArgumentError("n and k must be integers")
-    n = int(n)
-    k = int(k)
-    if n < 0 or not 0 <= k <= n:
-        raise ArgumentError(f"need 0 <= k <= n, got n={n}, k={k}")
+    n = _integer("n", n, 0)
+    k = _integer("k", k, 0, n)
     total = math.comb(n, k)
     if total > _MAX_INT64:
         raise CombinationOverflowError(
@@ -229,7 +222,7 @@ def build_pseudosample(sample, k: int, plan: PseudoPlan = ExactPlan()) -> np.nda
     """
     k, x, total = _sorted_sample(sample, k, plan)
     if isinstance(plan, ExactPlan):
-        chunks = _exact_rows(x, k, DEFAULT_CHUNK)
+        chunks = _exact_rows(x, k, _CHUNK)
     else:
         chunks = _monte_carlo_rows(x, k, plan)
     out = np.empty(total)

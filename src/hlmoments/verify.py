@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, _integer
 from .estimators import (
     hl_central_moment,
     hl_standardized_moment,
@@ -53,15 +53,13 @@ __all__ = [
 _MC_FIRST_SEED = 0  # plan seed of mc_consistency_probe's first Monte Carlo run
 
 
-def _checked_bins(n_draws: int, bins) -> int:
-    """The histogram bin count: ``bins``, or about 2 n_draws^(1/3) when None."""
-    if n_draws < 2:
-        raise ArgumentError("n_draws must be at least 2")
+def _shape_args(n_draws, seed, bins) -> tuple[int, int, int]:
+    """A shape probe's draw count, seed and histogram bin count: ``bins``, or
+    about 2 n_draws^(1/3) when None."""
+    n_draws, seed = _integer("n_draws", n_draws, 2), _integer("seed", seed, 0)
     if bins is None:
-        return int(math.ceil(2.0 * n_draws ** (1.0 / 3.0)))
-    if not isinstance(bins, (int, np.integer)) or bins < 1:
-        raise ArgumentError(f"bins must be a positive integer, got {bins!r}")
-    return int(bins)
+        return n_draws, seed, math.ceil(2.0 * n_draws ** (1.0 / 3.0))
+    return n_draws, seed, _integer("bins", bins, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +182,9 @@ def _shape_probe(kind, family, k, n_draws, seed, values, counts, edges, monotoni
     return ShapeProbe(
         kind=kind,
         family=family.label,
-        k=int(k),
-        n_draws=int(n_draws),
-        seed=int(seed),
+        k=k,
+        n_draws=n_draws,
+        seed=seed,
         bin_edges=tuple(float(e) for e in edges),
         counts=tuple(int(c) for c in counts),
         median=med,
@@ -213,9 +211,9 @@ def pairwise_diff_probe(
     draw from the histogram range so a handful of extreme differences cannot
     flood the statistic with empty bins.
     """
-    nbins = _checked_bins(n_draws, bins)
+    n_draws, seed, nbins = _shape_args(n_draws, seed, bins)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    u = _open_unit(rng, (int(n_draws), 2))
+    u = _open_unit(rng, (n_draws, 2))
     x = family._q(u)
     d = -np.abs(x[:, 0] - x[:, 1])
     lo = float(np.quantile(d, tail_clip)) if tail_clip > 0 else float(d.min())
@@ -239,11 +237,10 @@ def kernel_shape_probe(
     statistic taken toward the mode bin from both sides, on a histogram
     clipped to the central (tail_clip, 1 - tail_clip) quantile range.
     """
-    if k not in (3, 4):
-        raise ArgumentError(f"kernel shape probe supports k in {{3, 4}}, got {k}")
-    nbins = _checked_bins(n_draws, bins)
+    k = _integer("k", k, 3, 4)
+    n_draws, seed, nbins = _shape_args(n_draws, seed, bins)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    u = _open_unit(rng, (int(n_draws), k))
+    u = _open_unit(rng, (n_draws, k))
     v = kernel_values(np.sort(family._q(u), axis=1), k)
     if tail_clip > 0:
         lo, hi = np.quantile(v, [tail_clip, 1.0 - tail_clip])
@@ -272,11 +269,9 @@ def variance_comparison(
     symmetric differences, so its trimmed SD is expected to be strictly more
     stable, increasingly so as n grows.
     """
-    if replications < 2:
-        raise ArgumentError("replications must be at least 2")
-    n_values = tuple(int(n) for n in n_values)
-    if any(n < 4 for n in n_values):
-        raise ArgumentError("each n must be at least 4")
+    replications = _integer("replications", replications, 2)
+    n_values = tuple(_integer("each of n_values", n, 4) for n in n_values)
+    seed = _integer("seed", seed, 0)
     var_sym = []
     var_pair = []
     for ni, n in enumerate(n_values):
@@ -293,8 +288,8 @@ def variance_comparison(
         family=family.label,
         eps=float(eps),
         n_values=n_values,
-        replications=int(replications),
-        seed=int(seed),
+        replications=replications,
+        seed=seed,
         var_symmetric=tuple(var_sym),
         var_pairwise=tuple(var_pair),
         ratio=ratio,
@@ -308,12 +303,8 @@ def support_bound_probe(k: int, resolution: int = 100) -> SupportBoundsReport:
     coordinates on a uniform grid and compares the observed extrema with the
     closed-form bounds at range delta = -1.
     """
-    if not isinstance(k, (int, np.integer)) or not 2 <= k <= 5:
-        raise ArgumentError(f"support probe supports 2 <= k <= 5, got {k!r}")
-    if not isinstance(resolution, (int, np.integer)) or resolution < 20:
-        raise ArgumentError(f"resolution must be an integer >= 20, got {resolution!r}")
-    k = int(k)
-    resolution = int(resolution)
+    k = _integer("k", k, 2, 5)
+    resolution = _integer("resolution", resolution, 20)
     interior = np.array(
         list(combinations_with_replacement(range(resolution + 1), k - 2)),
         dtype=np.float64,
@@ -348,10 +339,9 @@ def equivariance_suite(
     The estimator part checks that the standardized moment is unchanged (to
     relative accuracy) under x -> a*x + b with a > 0.
     """
-    if trials < 100:
-        raise ArgumentError("trials must be at least 100")
-    if not 2 <= max_k <= 8:
-        raise ArgumentError("max_k must lie in [2, 8]")
+    trials, seed = _integer("trials", trials, 100), _integer("seed", seed, 0)
+    max_k = _integer("max_k", max_k, 2, 8)
+    estimator_trials = _integer("estimator_trials", estimator_trials, 1)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     ks = rng.integers(2, max_k + 1, size=trials)
     max_rel_kernel = 0.0
@@ -384,9 +374,9 @@ def equivariance_suite(
         max_rel_est = max(max_rel_est, rel)
 
     return EquivarianceReport(
-        trials=int(trials),
-        seed=int(seed),
-        max_k=int(max_k),
+        trials=trials,
+        seed=seed,
+        max_k=max_k,
         max_rel_dev_kernel=max_rel_kernel,
         max_rel_dev_standardized=max_rel_est,
     )
@@ -409,8 +399,8 @@ def mc_consistency_probe(
     the Monte Carlo estimate over consecutive seeds and reports relative
     deviations and the number within tolerance.
     """
-    if not isinstance(n_seeds, (int, np.integer)) or n_seeds < 1:
-        raise ArgumentError(f"n_seeds must be a positive integer, got {n_seeds!r}")
+    n, k, draws = _integer("n", n, 1), _integer("k", k, 2), _integer("draws", draws, 1)
+    n_seeds, sample_seed = _integer("n_seeds", n_seeds, 1), _integer("sample_seed", sample_seed, 0)
     x = family.sample(n, sample_seed)
     trim = TrimSpec(eps0=eps0, gamma=gamma)
     exact = hl_central_moment(x, k, trim, plan=ExactPlan()).value
@@ -424,12 +414,12 @@ def mc_consistency_probe(
     passes = sum(d <= tolerance for d in devs)
     return McConsistencyReport(
         family=family.label,
-        n=int(n),
-        k=int(k),
+        n=n,
+        k=k,
         eps0=float(eps0),
         gamma=float(gamma),
-        draws=int(draws),
-        sample_seed=int(sample_seed),
+        draws=draws,
+        sample_seed=sample_seed,
         seeds=seeds,
         rel_devs=tuple(float(d) for d in devs),
         tolerance=float(tolerance),

@@ -131,7 +131,7 @@ class TestSampling:
         assert np.array_equal(a, f.sample(10, np.random.SeedSequence(7, spawn_key=(1, 2))))
         assert np.array_equal(f.sample(10, np.int64(7)), f.sample(10, 7))
 
-    @pytest.mark.parametrize("seed", [-1, np.int64(-1), 2.5, 3.0, "7", None])
+    @pytest.mark.parametrize("seed", [-1, np.int64(-1), 2.5, 3.0, "7", None, True])
     def test_seed_that_is_not_a_non_negative_integer_rejected(self, seed):
         with pytest.raises(ArgumentError, match="seed must be a non-negative integer"):
             Weibull(1.0, 1.0).sample(10, seed)

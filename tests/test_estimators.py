@@ -523,10 +523,36 @@ class TestWideSamples:
     def test_ordinary_samples_keep_their_bits(self):
         # the rescaled path is taken only where the plain one overflows
         x = np.random.default_rng(12).normal(3.0, 2.0, size=41)
-        d = x - x.mean()
+        d = x - x[0]
+        d -= d.mean()
         assert sample_central_moment(x, 3) == float(np.mean(d**3))
         assert h_statistic(x, 2) == float((d @ d) / (x.size - 1))
         xs = np.sort(x)
         i = np.arange(41 // 2 + 1, math.floor(41 * 0.9) + 1)
         e = xs[i - 1] - xs[41 - i]
         assert trimmed_sd_symmetric(x, 0.1).value == math.sqrt(float(np.mean(e * e)))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_constant_sample_at_the_double_limit_has_zero_moments(self, k):
+        # centred about a sample value first, no mean of the sample overflows
+        x = np.full(6, 1.7e308)
+        assert sample_central_moment(x, k) == 0.0
+        assert h_statistic(x, k) == 0.0
+
+    def test_shifted_samples_err_at_the_scale_of_their_spread(self):
+        # against the same closed forms in exact arithmetic, relative to the scale
+        # mean |x - mean(x)|^k of the centred terms (h_3 itself may cancel)
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n = int(rng.integers(5, 60))
+            x = rng.lognormal(0.0, 1.0, n) + rng.uniform(0.0, 1e6)
+            v = [Fraction(t) for t in x]
+            d = [t - sum(v) / n for t in v]
+            m = {r: sum(t**r for t in d) / n for r in (2, 3, 4)}
+            h = {2: m[2] * n / (n - 1), 3: m[3] * n * n / ((n - 1) * (n - 2)),
+                 4: (3 * n * (3 - 2 * n) * m[2] ** 2 + n * (n * n - 2 * n + 3) * m[4])
+                 / ((n - 1) * (n - 2) * (n - 3))}
+            for k in (2, 3, 4):
+                tol = sum(abs(t) ** k for t in d) / n / 10**13
+                assert abs(Fraction(sample_central_moment(x, k)) - m[k]) <= tol, (n, k)
+                assert abs(Fraction(h_statistic(x, k)) - h[k]) <= tol, (n, k)

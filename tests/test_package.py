@@ -47,4 +47,4 @@ def test_star_import_exports_exactly_all():
 
 def test_surface_is_the_earlier_one_plus_two_pseudosample_names():
     assert len(EARLIER) == 62
-    assert set(hlmoments.__all__) == EARLIER | {"DEFAULT_CHUNK", "PseudoPlan"}
+    assert set(hlmoments.__all__) == EARLIER | {"PseudoPlan"}

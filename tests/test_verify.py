@@ -91,7 +91,7 @@ class TestPairwiseDiffProbe:
             probe = pairwise_diff_probe(f, n_draws=200_000, seed=3, bins=40)
             assert probe.monotonicity >= 0.9
 
-    @pytest.mark.parametrize("bins", [0, -3, 2.5, "10"])
+    @pytest.mark.parametrize("bins", [0, -3, 2.5, "10", True])
     def test_bins_must_be_a_positive_integer(self, bins):
         with pytest.raises(ArgumentError):
             pairwise_diff_probe(normal(0.0, 1.0), n_draws=1000, bins=bins)
@@ -124,7 +124,7 @@ class TestKernelShapeProbe:
         with pytest.raises(ArgumentError):
             kernel_shape_probe(normal(0.0, 1.0), 5, n_draws=1000)
 
-    @pytest.mark.parametrize("bins", [0, -3, 2.5, "10"])
+    @pytest.mark.parametrize("bins", [0, -3, 2.5, "10", True])
     def test_bins_must_be_a_positive_integer(self, bins):
         with pytest.raises(ArgumentError):
             kernel_shape_probe(normal(0.0, 1.0), 3, n_draws=1000, bins=bins)
@@ -188,7 +188,7 @@ class TestMcConsistency:
         assert rep.passes == sum(d <= rep.tolerance for d in rep.rel_devs)
         assert max(rep.rel_devs) < 0.05
 
-    @pytest.mark.parametrize("n_seeds", [0, -3, 2.0])
+    @pytest.mark.parametrize("n_seeds", [0, -3, 2.0, 2.5, True])
     def test_seed_count_must_be_a_positive_integer(self, n_seeds):
         with pytest.raises(ArgumentError, match="n_seeds"):
             mc_consistency_probe(n=6, k=3, draws=50, n_seeds=n_seeds)
