@@ -13,6 +13,13 @@ parameter shifts.  Symmetric families and location parameters trivially
 qualify; shape-scale families can fail (the Weibull shape is the canonical
 counterexample: its mean and median move in opposite directions as the
 shape drops below 1).
+
+``scipy.special`` supplies the special functions of the Weibull, lognormal,
+gamma and generalized Gaussian families.  ``_special`` imports it on first
+use, so only the family methods (sample, quantile, cdf, pdf, mean) and what
+calls them (the congruence analyzer, the verify probes that draw from a
+family) load scipy; importing the package or estimating from given data does
+not.
 """
 
 from __future__ import annotations
@@ -21,10 +28,8 @@ import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
-from scipy.special import gammainc, gammaincinv, gammaln, ndtr, ndtri
 
-from .errors import ArgumentError, _integer
+from .errors import ArgumentError, _integer, _real
 from .records import Record
 
 __all__ = [
@@ -55,22 +60,23 @@ def _open_unit(rng: np.random.Generator, size) -> np.ndarray:
     return rng.integers(1, 1 << 53, size=size) / float(1 << 53)
 
 
-def _finite_pos(name: str, v) -> float:
-    v = float(v)
-    if not (math.isfinite(v) and v > 0):
-        raise ArgumentError(f"{name} must be a positive finite real, got {v!r}")
-    return v
+def _special():
+    """``scipy.special``, imported on first use: only family methods need it."""
+    import scipy.special
 
-
-def _finite(name: str, v) -> float:
-    v = float(v)
-    if not math.isfinite(v):
-        raise ArgumentError(f"{name} must be a finite real, got {v!r}")
-    return v
+    return scipy.special
 
 
 class Family:
     """Base class: quantile/cdf/pdf/mean plus seeded sampling."""
+
+    #: parameters that may take any finite value; every other one must be positive
+    _ANY_SIGN: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        for name in self.param_names:
+            low = -math.inf if name in self._ANY_SIGN else 0.0
+            object.__setattr__(self, name, _real(name, getattr(self, name), low, open_low=True))
 
     def _q(self, p: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -118,10 +124,6 @@ class Weibull(Family):
     shape: float
     scale: float = 1.0
 
-    def __post_init__(self):
-        _finite_pos("shape", self.shape)
-        _finite_pos("scale", self.scale)
-
     def _q(self, p):
         return self.scale * (-np.log1p(-p)) ** (1.0 / self.shape)
 
@@ -137,7 +139,7 @@ class Weibull(Family):
         return np.where(x <= 0, 0.0, out)
 
     def mean(self) -> float:
-        return self.scale * _gamma_fn(1.0 + 1.0 / self.shape)
+        return self.scale * _special().gamma(1.0 + 1.0 / self.shape)
 
 
 @dataclass(frozen=True)
@@ -146,10 +148,6 @@ class Pareto(Family):
 
     shape: float
     xm: float = 1.0
-
-    def __post_init__(self):
-        _finite_pos("shape", self.shape)
-        _finite_pos("xm", self.xm)
 
     def _q(self, p):
         return self.xm * (1.0 - p) ** (-1.0 / self.shape)
@@ -174,19 +172,18 @@ class Pareto(Family):
 class LogNormal(Family):
     """Lognormal: Q(p) = exp(mu + sigma * Phi^(-1)(p))."""
 
+    _ANY_SIGN = ("mu",)
+
     mu: float
     sigma: float
 
-    def __post_init__(self):
-        _finite("mu", self.mu)
-        _finite_pos("sigma", self.sigma)
-
     def _q(self, p):
-        return np.exp(self.mu + self.sigma * ndtri(p))
+        return np.exp(self.mu + self.sigma * _special().ndtri(p))
 
     def cdf(self, x):
         x = np.asarray(x, dtype=np.float64)
-        out = ndtr((np.log(np.clip(x, np.finfo(float).tiny, None)) - self.mu) / self.sigma)
+        z = (np.log(np.clip(x, np.finfo(float).tiny, None)) - self.mu) / self.sigma
+        out = _special().ndtr(z)
         return np.where(x <= 0, 0.0, out)
 
     def pdf(self, x):
@@ -207,16 +204,12 @@ class Gamma(Family):
     shape: float
     scale: float = 1.0
 
-    def __post_init__(self):
-        _finite_pos("shape", self.shape)
-        _finite_pos("scale", self.scale)
-
     def _q(self, p):
-        return self.scale * gammaincinv(self.shape, p)
+        return self.scale * _special().gammaincinv(self.shape, p)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=np.float64)
-        return gammainc(self.shape, np.clip(x, 0, None) / self.scale)
+        return _special().gammainc(self.shape, np.clip(x, 0, None) / self.scale)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -224,7 +217,7 @@ class Gamma(Family):
         logp = (
             (self.shape - 1.0) * np.log(xc / self.scale)
             - xc / self.scale
-            - gammaln(self.shape)
+            - _special().gammaln(self.shape)
         ) - np.log(self.scale)
         return np.where(x <= 0, 0.0, np.exp(logp))
 
@@ -240,28 +233,25 @@ class GeneralizedGaussian(Family):
     Laplace; see the :func:`normal` and :func:`laplace` helpers.
     """
 
+    _ANY_SIGN = ("mu",)
+
     mu: float
     sigma: float
     beta: float = 2.0
 
-    def __post_init__(self):
-        _finite("mu", self.mu)
-        _finite_pos("sigma", self.sigma)
-        _finite_pos("beta", self.beta)
-
     def _q(self, p):
-        z = gammaincinv(1.0 / self.beta, np.abs(2.0 * p - 1.0)) ** (1.0 / self.beta)
+        z = _special().gammaincinv(1.0 / self.beta, np.abs(2.0 * p - 1.0)) ** (1.0 / self.beta)
         return self.mu + self.sigma * np.where(p >= 0.5, z, -z)
 
     def cdf(self, x):
         x = np.asarray(x, dtype=np.float64)
-        g = gammainc(1.0 / self.beta, (np.abs(x - self.mu) / self.sigma) ** self.beta)
+        g = _special().gammainc(1.0 / self.beta, (np.abs(x - self.mu) / self.sigma) ** self.beta)
         return 0.5 + 0.5 * np.sign(x - self.mu) * g
 
     def pdf(self, x):
         x = np.asarray(x, dtype=np.float64)
         z = np.abs(x - self.mu) / self.sigma
-        norm = self.beta / (2.0 * self.sigma * _gamma_fn(1.0 / self.beta))
+        norm = self.beta / (2.0 * self.sigma * _special().gamma(1.0 / self.beta))
         return norm * np.exp(-(z**self.beta))
 
     def mean(self) -> float:
@@ -272,12 +262,13 @@ class GeneralizedGaussian(Family):
 class Uniform(Family):
     """Uniform on (a, b)."""
 
+    _ANY_SIGN = ("a", "b")
+
     a: float = 0.0
     b: float = 1.0
 
     def __post_init__(self):
-        _finite("a", self.a)
-        _finite("b", self.b)
+        super().__post_init__()
         if not self.a < self.b:
             raise ArgumentError(f"need a < b, got a={self.a}, b={self.b}")
 
@@ -299,12 +290,13 @@ class Uniform(Family):
 
 def normal(mu: float = 0.0, sd: float = 1.0) -> GeneralizedGaussian:
     """Normal(mu, sd) as a generalized Gaussian (beta = 2, sigma = sqrt(2)*sd)."""
-    return GeneralizedGaussian(mu=mu, sigma=math.sqrt(2.0) * float(sd), beta=2.0)
+    sd = _real("sd", sd, 0.0, open_low=True)
+    return GeneralizedGaussian(mu=mu, sigma=math.sqrt(2.0) * sd, beta=2.0)
 
 
 def laplace(mu: float = 0.0, b: float = 1.0) -> GeneralizedGaussian:
     """Laplace(mu, b) as a generalized Gaussian (beta = 1, sigma = b)."""
-    return GeneralizedGaussian(mu=mu, sigma=float(b), beta=1.0)
+    return GeneralizedGaussian(mu=mu, sigma=_real("b", b, 0.0, open_low=True), beta=1.0)
 
 
 _FAMILY_BUILDERS = {
@@ -348,18 +340,20 @@ def parse_family(spec: str) -> Family:
 # quantile averages and congruence
 # ---------------------------------------------------------------------------
 
+def _qa_levels(eps, gamma) -> tuple[float, float]:
+    """The probabilities gamma*eps and 1 - eps of QA(eps, gamma), both in (0, 1)."""
+    eps = _real("eps", eps, 0.0, 1.0, open_low=True, open_high=True)
+    gamma = _real("gamma", gamma, 0.0, open_low=True)
+    lo = gamma * eps
+    if not 0.0 < lo < 1.0:
+        raise ArgumentError(f"need 0 < gamma*eps < 1, got eps={eps}, gamma={gamma}")
+    return lo, 1.0 - eps
+
+
 def quantile_average(family: Family, eps: float, gamma: float) -> float:
     """QA(eps, gamma) = (Q(gamma*eps) + Q(1-eps)) / 2."""
-    eps = float(eps)
-    gamma = float(gamma)
-    if not (math.isfinite(eps) and math.isfinite(gamma)):
-        raise ArgumentError("eps and gamma must be finite")
-    lo = gamma * eps
-    if not 0.0 < lo < 1.0 or not 0.0 < eps < 1.0:
-        raise ArgumentError(
-            f"need 0 < gamma*eps < 1 and 0 < eps < 1, got eps={eps}, gamma={gamma}"
-        )
-    return 0.5 * (family.quantile(lo) + family.quantile(1.0 - eps))
+    lo, hi = _qa_levels(eps, gamma)
+    return 0.5 * (family.quantile(lo) + family.quantile(hi))
 
 
 def qa_partial_sign(
@@ -381,18 +375,13 @@ def qa_partial_sign(
             f"{type(family).__name__} has no parameter {param!r}; "
             f"expected one of {family.param_names}"
         )
-    theta = float(getattr(family, param))
-    if h is None:
-        h = max(1e-6, 1e-4 * abs(theta))
+    lo, hi = _qa_levels(eps, gamma)
+    theta = getattr(family, param)
+    h = max(1e-6, 1e-4 * abs(theta)) if h is None else _real("h", h, 0.0, open_low=True)
     fp = replace(family, **{param: theta + h})
     fm = replace(family, **{param: theta - h})
     est = (quantile_average(fp, eps, gamma) - quantile_average(fm, eps, gamma)) / (2.0 * h)
-    qmag = max(
-        abs(fp.quantile(gamma * eps)),
-        abs(fp.quantile(1.0 - eps)),
-        abs(fm.quantile(gamma * eps)),
-        abs(fm.quantile(1.0 - eps)),
-    )
+    qmag = max(abs(f.quantile(p)) for f in (fp, fm) for p in (lo, hi))
     noise_floor = 8.0 * _EPS_MACH * qmag / h
     if abs(est) < max(_DEAD_BAND, noise_floor):
         return 0
@@ -407,11 +396,8 @@ def lognormal_qa_sigma_derivative(family: LogNormal, eps: float, gamma: float) -
     """
     if not isinstance(family, LogNormal):
         raise ArgumentError("analytic derivative is for the lognormal family")
-    lo = gamma * eps
-    if not 0.0 < lo < 1.0 or not 0.0 < eps < 1.0:
-        raise ArgumentError("probability arguments out of range")
-    zlo = ndtri(lo)
-    zhi = ndtri(1.0 - eps)
+    lo, hi = _qa_levels(eps, gamma)
+    zlo, zhi = _special().ndtri(lo), _special().ndtri(hi)
     return 0.5 * (
         zlo * math.exp(family.mu + family.sigma * zlo)
         + zhi * math.exp(family.mu + family.sigma * zhi)
@@ -447,9 +433,7 @@ def congruence_check(
     in the dead band.
     """
     grid_size = _integer("grid_size", grid_size, 8)
-    gamma = float(gamma)
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise ArgumentError(f"gamma must be positive, got {gamma}")
+    gamma = _real("gamma", gamma, 0.0, open_low=True)
     grid = np.geomspace(_CONGRUENCE_DELTA, 1.0 / (1.0 + gamma), grid_size)
     signs = tuple(qa_partial_sign(family, param, float(e), gamma, h=h) for e in grid)
     nonzero = [s for s in signs if s != 0]

@@ -1,4 +1,4 @@
-"""Exception hierarchy, and the one rule for integer arguments.
+"""Exception hierarchy, and the one rule each for integer and real arguments.
 
 Public functions never raise a bare ValueError: every contract violation maps
 to one of the semantic errors below so callers (and the CLI) can translate
@@ -9,10 +9,17 @@ checked by ``_integer``: it takes any ``numbers.Integral`` but ``bool`` (so
 ``np.int64`` too) within the parameter's range and returns a Python ``int``;
 anything else (``2.5``, ``3.0``, ``True``, an out-of-range value) raises
 ``ArgumentError``.
+
+Every real-valued parameter (trim fractions, family parameters, levels) is
+checked by ``_real``: it takes any ``numbers.Real`` but ``bool`` (so
+``np.float32`` and integers too) that is finite and within the parameter's
+range and returns a Python ``float``; anything else (``True``, ``"2"``,
+``nan``, ``inf``, an out-of-range value) raises ``ArgumentError``.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 
 __all__ = [
@@ -74,4 +81,26 @@ def _integer(name: str, value, low: int, high: int | None = None) -> int:
     else:
         want = {0: "a non-negative integer", 1: "a positive integer"}.get(
             low, f"an integer >= {low}")
+    raise ArgumentError(f"{name} must be {want}, got {value!r}")
+
+
+def _real(name: str, value, low: float = -math.inf, high: float = math.inf, *,
+          open_low: bool = False, open_high: bool = False) -> float:
+    """``value`` as a ``float`` if it is a finite real, not a bool, between low and high.
+
+    The bounds are inclusive unless ``open_low`` / ``open_high`` is set.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            v = float(value)
+        except OverflowError:  # an int or Fraction beyond the double range
+            v = math.inf
+        if (math.isfinite(v) and (low < v if open_low else low <= v)
+                and (v < high if open_high else v <= high)):
+            return v
+    want = "a finite real"
+    if low > -math.inf or high < math.inf:
+        left = "(" if open_low or low == -math.inf else "["
+        right = ")" if open_high or high == math.inf else "]"
+        want += f" in {left}{low:g}, {high:g}{right}"
     raise ArgumentError(f"{name} must be {want}, got {value!r}")

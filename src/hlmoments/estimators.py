@@ -29,12 +29,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ArgumentError, DegenerateSampleError, DegenerateTrimError, _integer
+from .errors import ArgumentError, DegenerateSampleError, DegenerateTrimError, _integer, _real
 from .kernels import _check_order
 from .lstat import (
     LEstimatorSpec,
     TrimSpec,
-    _check_fraction,
     _homogeneous,
     _snap,
     apply_lestimator,
@@ -177,7 +176,7 @@ def trimmed_sd_symmetric(sample, eps: float = 0.0) -> MomentEstimate:
     the actual number of retained terms, which matches n(1/2 - eps) whenever
     the cut points are integral.
     """
-    _check_fraction("eps", eps, 0.5)
+    eps = _real("eps", eps, 0.0, 0.5, open_high=True)
     xs = np.sort(_checked_sample(sample, 2))
     n = xs.size
     lo = n // 2 + 1
@@ -191,9 +190,9 @@ def trimmed_sd_symmetric(sample, eps: float = 0.0) -> MomentEstimate:
     return MomentEstimate(
         value=value,
         k=2,
-        eps0=float(eps),
+        eps0=eps,
         gamma=1.0,
-        eps=float(eps),
+        eps=eps,
         n=n,
         pseudo_n=n - n // 2,
         method="trimmed-sd-symmetric",

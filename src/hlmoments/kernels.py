@@ -43,7 +43,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ArgumentError, UnsupportedOrderError, _integer
+from .errors import ArgumentError, UnsupportedOrderError, _integer, _real
 from .lstat import _OVERFLOW
 
 __all__ = [
@@ -222,10 +222,8 @@ def boundary_kernel_value(k: int, i: int, a: float, b: float) -> float:
     """
     k = _check_order(k)
     i = _integer("i", i, 1, k - 1)
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ArgumentError("boundary levels must be finite")
+    a = _real("a", a)
+    b = _real("b", b)
     return (-1.0) ** (1 + i) * (a - b) ** k / math.comb(k, i)
 
 
@@ -241,11 +239,7 @@ def kernel_support_bounds(k: int, delta: float) -> tuple[float, float]:
     delta^2/2 on such tuples and the lower bound is vacuous.
     """
     k = _check_order(k)
-    delta = float(delta)
-    if not math.isfinite(delta):
-        raise ArgumentError("delta must be finite")
-    if delta > 0:
-        raise ArgumentError(f"delta = min - max must be <= 0, got {delta}")
+    delta = _real("delta", delta, high=0.0)
     span = (-delta) ** k
     lower = -span / math.comb(k, (3 + (-1) ** k) // 2)
     upper = span / k

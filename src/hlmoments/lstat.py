@@ -33,6 +33,7 @@ from .errors import (
     ContractViolationError,
     DegenerateTrimError,
     _integer,
+    _real,
 )
 
 __all__ = [
@@ -58,13 +59,6 @@ def _snap(x: float, tol: float = 1e-9) -> float:
     return float(r) if abs(x - r) <= tol * max(1.0, abs(x)) else x
 
 
-def _check_fraction(name: str, value, upper: float) -> None:
-    if not (isinstance(value, (int, float)) and math.isfinite(value)):
-        raise ArgumentError(f"{name} must be a finite real, got {value!r}")
-    if not 0.0 <= value < upper:
-        raise ArgumentError(f"{name} must lie in [0, {upper:g}), got {value}")
-
-
 @dataclass(frozen=True)
 class TrimSpec:
     """Trimming parameters: upper fraction ``eps0``, lower multiplier ``gamma``."""
@@ -73,11 +67,8 @@ class TrimSpec:
     gamma: float = 1.0
 
     def __post_init__(self):
-        _check_fraction("eps0", self.eps0, 1.0)
-        if not (isinstance(self.gamma, (int, float)) and math.isfinite(self.gamma)):
-            raise ArgumentError(f"gamma must be a finite real, got {self.gamma!r}")
-        if self.gamma < 0.0:
-            raise ArgumentError(f"gamma must be >= 0, got {self.gamma}")
+        object.__setattr__(self, "eps0", _real("eps0", self.eps0, 0.0, 1.0, open_high=True))
+        object.__setattr__(self, "gamma", _real("gamma", self.gamma, 0.0))
         if self.gamma * self.eps0 + self.eps0 >= 1.0:
             raise ArgumentError(
                 f"gamma*eps0 + eps0 = {self.gamma * self.eps0 + self.eps0} leaves "
@@ -211,12 +202,12 @@ def apply_lestimator(
 def breakdown_from_trim(eps0: float, k: int) -> float:
     """Sample breakdown eps = 1 - (1 - eps0)^(1/k) for k-subset pseudo-samples."""
     k = _integer("k", k, 1)
-    _check_fraction("eps0", eps0, 1.0)
+    eps0 = _real("eps0", eps0, 0.0, 1.0, open_high=True)
     return 1.0 - (1.0 - eps0) ** (1.0 / k)
 
 
 def trim_from_breakdown(eps: float, k: int) -> float:
     """Inverse of :func:`breakdown_from_trim`: eps0 = 1 - (1 - eps)^k."""
     k = _integer("k", k, 1)
-    _check_fraction("eps", eps, 1.0)
+    eps = _real("eps", eps, 0.0, 1.0, open_high=True)
     return 1.0 - (1.0 - eps) ** k

@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import ArgumentError, _integer
+from .errors import ArgumentError, _integer, _real
 from .estimators import (
     hl_central_moment,
     hl_standardized_moment,
@@ -401,6 +401,7 @@ def mc_consistency_probe(
     """
     n, k, draws = _integer("n", n, 1), _integer("k", k, 2), _integer("draws", draws, 1)
     n_seeds, sample_seed = _integer("n_seeds", n_seeds, 1), _integer("sample_seed", sample_seed, 0)
+    tolerance = _real("tolerance", tolerance, 0.0)
     x = family.sample(n, sample_seed)
     trim = TrimSpec(eps0=eps0, gamma=gamma)
     exact = hl_central_moment(x, k, trim, plan=ExactPlan()).value
@@ -416,12 +417,12 @@ def mc_consistency_probe(
         family=family.label,
         n=n,
         k=k,
-        eps0=float(eps0),
-        gamma=float(gamma),
+        eps0=trim.eps0,
+        gamma=trim.gamma,
         draws=draws,
         sample_seed=sample_seed,
         seeds=seeds,
         rel_devs=tuple(float(d) for d in devs),
-        tolerance=float(tolerance),
+        tolerance=tolerance,
         passes=int(passes),
     )
