@@ -27,7 +27,7 @@ import sys
 
 import numpy as np
 
-from .errors import ArgumentError, CapacityError, EstimatorError
+from .errors import ArgumentError, CapacityError, EstimatorError, _integer_range
 from .estimators import (
     hl_central_moment,
     hl_standardized_moment,
@@ -70,8 +70,7 @@ def _read_reals(path: str) -> np.ndarray:
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     values: list[float] = []
-    header_seen = False
-    any_data = False
+    first = True  # a single leading header line is allowed
     for lineno, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
@@ -79,12 +78,12 @@ def _read_reals(path: str) -> np.ndarray:
         try:  # a whole line parses before any of it is kept
             row = [float(tok) for tok in text.split(",") if tok.strip()]
         except ValueError:
-            if not any_data and not header_seen:
-                header_seen = True  # single leading header line is allowed
+            if first:
+                first = False
                 continue
             raise _InputError(f"{path}:{lineno}: cannot parse {text!r} as reals")
         values.extend(row)
-        any_data = True
+        first = False
     if not values:
         raise _InputError(f"{path}: no numeric data found")
     return np.asarray(values, dtype=np.float64)
@@ -99,20 +98,20 @@ def _load_sample(args) -> np.ndarray:
     return family.sample(args.n, args.sample_seed)
 
 
-def _int_type(low: int, kind: str):
-    """argparse type of the plan sizes and seeds: an integer below ``low`` is a usage error."""
+def _int_type(low: int):
+    """argparse type of a count or seed: below the library's bound ``low`` is a usage error."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
+            raise argparse.ArgumentTypeError(f"must be {_integer_range(low)}, got {value}")
         return value
     return parse
 
 
-_positive_int, _seed = _int_type(1, "positive"), _int_type(0, "non-negative")
+_positive_int, _seed = _int_type(1), _int_type(0)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -265,7 +264,7 @@ def _add_io_args(p: argparse.ArgumentParser) -> None:
 def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", help="CSV file of reals (one per line or comma-separated)")
     p.add_argument("--family", help="draw the sample from a family, e.g. 'weibull(1,1)'")
-    p.add_argument("--n", type=int, default=100, help="sample size when drawing")
+    p.add_argument("--n", type=_positive_int, default=100, help="sample size when drawing")
     p.add_argument("--sample-seed", type=_seed, default=0, help="seed when drawing")
 
 
@@ -313,7 +312,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--family", required=True, help="e.g. 'weibull(1,1)', 'pareto(2,1)'")
     p_con.add_argument("--param", required=True, help="parameter name, e.g. 'shape'")
     p_con.add_argument("--gamma", type=float, default=1.0)
-    p_con.add_argument("--grid-size", type=int, default=64)
+    p_con.add_argument("--grid-size", type=_int_type(8), default=64)
     _add_io_args(p_con)
     p_con.set_defaults(func=_cmd_congruence)
 
@@ -322,17 +321,17 @@ def _make_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--family", default="normal(0,1)")
     p_ver.add_argument("--k", type=int, default=3)
     p_ver.add_argument("--n", type=int, default=20)
-    p_ver.add_argument("--n-draws", type=int, default=10**6)
+    p_ver.add_argument("--n-draws", type=_int_type(2), default=10**6)
     p_ver.add_argument("--n-list", default="20,50,100")
     p_ver.add_argument("--eps", type=float, default=0.1)
     p_ver.add_argument("--eps0", type=float, default=0.1)
     p_ver.add_argument("--replications", type=int, default=1000)
-    p_ver.add_argument("--trials", type=int, default=10**4)
+    p_ver.add_argument("--trials", type=_int_type(100), default=10**4)
     p_ver.add_argument("--draws", type=_positive_int, default=10**6)
     p_ver.add_argument("--seeds", type=_positive_int, default=10, help="Monte Carlo seed count")
     p_ver.add_argument("--seed", type=_seed, default=0)
-    p_ver.add_argument("--bins", type=int, default=None)
-    p_ver.add_argument("--resolution", type=int, default=100)
+    p_ver.add_argument("--bins", type=_positive_int, default=None)
+    p_ver.add_argument("--resolution", type=_int_type(20), default=100)
     p_ver.add_argument("--tolerance", type=float, default=1e-2)
     _add_io_args(p_ver)
     p_ver.set_defaults(func=_cmd_verify)

@@ -90,10 +90,10 @@ class Family:
         return float(out) if np.isscalar(p) or np.ndim(p) == 0 else out
 
     def cdf(self, x):
-        raise NotImplementedError
+        return self._cdf(np.asarray(x, dtype=np.float64))
 
     def pdf(self, x):
-        raise NotImplementedError
+        return self._pdf(np.asarray(x, dtype=np.float64))
 
     def mean(self) -> float:
         """Closed-form mean; ``inf`` signals an infinite first moment."""
@@ -127,13 +127,11 @@ class Weibull(Family):
     def _q(self, p):
         return self.scale * (-np.log1p(-p)) ** (1.0 / self.shape)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
+    def _cdf(self, x):
         out = -np.expm1(-np.clip(x / self.scale, 0, None) ** self.shape)
         return np.where(x <= 0, 0.0, out)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
+    def _pdf(self, x):
         z = np.clip(x / self.scale, 0, None)
         out = (self.shape / self.scale) * z ** (self.shape - 1) * np.exp(-(z**self.shape))
         return np.where(x <= 0, 0.0, out)
@@ -152,13 +150,11 @@ class Pareto(Family):
     def _q(self, p):
         return self.xm * (1.0 - p) ** (-1.0 / self.shape)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
+    def _cdf(self, x):
         out = 1.0 - (self.xm / np.clip(x, self.xm, None)) ** self.shape
         return np.where(x < self.xm, 0.0, out)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
+    def _pdf(self, x):
         out = self.shape * self.xm**self.shape / np.clip(x, self.xm, None) ** (self.shape + 1)
         return np.where(x < self.xm, 0.0, out)
 
@@ -180,14 +176,12 @@ class LogNormal(Family):
     def _q(self, p):
         return np.exp(self.mu + self.sigma * _special().ndtri(p))
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
+    def _cdf(self, x):
         z = (np.log(np.clip(x, np.finfo(float).tiny, None)) - self.mu) / self.sigma
         out = _special().ndtr(z)
         return np.where(x <= 0, 0.0, out)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
+    def _pdf(self, x):
         xc = np.clip(x, np.finfo(float).tiny, None)
         z = (np.log(xc) - self.mu) / self.sigma
         out = np.exp(-0.5 * z * z) / (xc * self.sigma * math.sqrt(2.0 * math.pi))
@@ -207,18 +201,12 @@ class Gamma(Family):
     def _q(self, p):
         return self.scale * _special().gammaincinv(self.shape, p)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
+    def _cdf(self, x):
         return _special().gammainc(self.shape, np.clip(x, 0, None) / self.scale)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        xc = np.clip(x, np.finfo(float).tiny, None)
-        logp = (
-            (self.shape - 1.0) * np.log(xc / self.scale)
-            - xc / self.scale
-            - _special().gammaln(self.shape)
-        ) - np.log(self.scale)
+    def _pdf(self, x):
+        z = np.clip(x, np.finfo(float).tiny, None) / self.scale
+        logp = (self.shape - 1.0) * np.log(z) - z - _special().gammaln(self.shape) - np.log(self.scale)
         return np.where(x <= 0, 0.0, np.exp(logp))
 
     def mean(self) -> float:
@@ -243,13 +231,11 @@ class GeneralizedGaussian(Family):
         z = _special().gammaincinv(1.0 / self.beta, np.abs(2.0 * p - 1.0)) ** (1.0 / self.beta)
         return self.mu + self.sigma * np.where(p >= 0.5, z, -z)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
+    def _cdf(self, x):
         g = _special().gammainc(1.0 / self.beta, (np.abs(x - self.mu) / self.sigma) ** self.beta)
         return 0.5 + 0.5 * np.sign(x - self.mu) * g
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
+    def _pdf(self, x):
         z = np.abs(x - self.mu) / self.sigma
         norm = self.beta / (2.0 * self.sigma * _special().gamma(1.0 / self.beta))
         return norm * np.exp(-(z**self.beta))
@@ -275,12 +261,10 @@ class Uniform(Family):
     def _q(self, p):
         return self.a + p * (self.b - self.a)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
+    def _cdf(self, x):
         return np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
 
-    def pdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
+    def _pdf(self, x):
         inside = (x >= self.a) & (x <= self.b)
         return np.where(inside, 1.0 / (self.b - self.a), 0.0)
 

@@ -71,17 +71,19 @@ class CombinationOverflowError(CapacityError):
     """A combination count does not fit in 64 bits; use Monte Carlo instead."""
 
 
+def _integer_range(low: int, high: int | None = None) -> str:
+    """How messages name the integers in [low, high]."""
+    if high is not None:
+        return f"an integer in [{low}, {high}]"
+    return {0: "a non-negative integer", 1: "a positive integer"}.get(low, f"an integer >= {low}")
+
+
 def _integer(name: str, value, low: int, high: int | None = None) -> int:
     """``value`` as an ``int`` if it is an integer, not a bool, in [low, high]."""
     if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and low <= value and (high is None or value <= high)):
         return int(value)
-    if high is not None:
-        want = f"an integer in [{low}, {high}]"
-    else:
-        want = {0: "a non-negative integer", 1: "a positive integer"}.get(
-            low, f"an integer >= {low}")
-    raise ArgumentError(f"{name} must be {want}, got {value!r}")
+    raise ArgumentError(f"{name} must be {_integer_range(low, high)}, got {value!r}")
 
 
 def _real(name: str, value, low: float = -math.inf, high: float = math.inf, *,

@@ -196,7 +196,6 @@ def trimmed_sd_symmetric(sample, eps: float = 0.0) -> MomentEstimate:
         n=n,
         pseudo_n=n - n // 2,
         method="trimmed-sd-symmetric",
-        seed=None,
     )
 
 

@@ -1,10 +1,11 @@
 """Materialize the sorted kernel pseudo-sample over k-subsets of a sample.
 
 The sample is sorted once and every index tuple is strictly increasing, so
-every gathered row is ascending already.  Exact mode enumerates all C(n, k)
-combinations in colexicographic blocks.  Monte Carlo mode draws combinations
-uniformly with replacement, with one RNG substream per block of 2^18 draws,
-so the result depends only on (sample, draws, seed).
+every gathered row is ascending already.  Exact mode gathers all C(n, k)
+combinations in colexicographic blocks through data-independent index tables
+cached for the process (4 776 450 bytes at worst).  Monte Carlo mode draws
+combinations uniformly with replacement, one RNG substream per block of 2^18
+draws, so the result depends only on (sample, draws, seed).
 
 The returned pseudo-sample is sorted ascending with -0.0 normalized to +0.0,
 making it bit-reproducible.
@@ -47,6 +48,8 @@ _CHUNK = 1 << 18
 # defines the stream, so it is fixed: changing it changes every Monte Carlo result.
 _MC_BLOCK = 1 << 18
 
+_COLEX: dict[int, np.ndarray] = {}  # level q -> the table _colex(q, m) returns a prefix of
+
 _MAX_UINT64 = 2**64 - 1
 _MAX_INT64 = 2**63 - 1
 
@@ -60,8 +63,9 @@ class ExactPlan:
     """Enumerate every combination, provided C(n, k) <= budget.
 
     Gathers at most 2^18 combinations at once: beyond the C(n, k) output
-    values they take O(2^18 * k) memory, however large C(n, k) is, and the
-    kernel's own temporaries are bounded by its fixed row tile.
+    values and the process-wide index tables (4 776 450 bytes at worst) they
+    take O(2^18 * k) memory, however large C(n, k) is, and the kernel's own
+    temporaries are bounded by its fixed row tile.
     """
 
     budget: int = DEFAULT_BUDGET
@@ -135,21 +139,40 @@ def _monte_carlo_rows(x: np.ndarray, k: int, plan: MonteCarloPlan):
         yield x[_sample_index_combinations(rng, x.size, k, min(_MC_BLOCK, plan.draws - start))]
 
 
+def _colex(q: int, m: int) -> np.ndarray:
+    """The colex q-subsets of range(m) as uint16 indices, one row per position: a
+    prefix of one data-independent table per level, kept for the process and grown
+    to the longest prefix asked for.  _exact_rows asks at most chunk // q columns,
+    so under _CHUNK no index exceeds 511 and levels 1..12 hold 4 776 450 bytes."""
+    size = math.comb(m, q)
+    table = _COLEX.get(q)
+    if table is None or table.shape[1] < size:  # for each j < m: level q - 1 up to C(j, q - 1), then j
+        counts = [math.comb(j, q - 1) for j in range(q - 1, m)]
+        head = _colex(q - 1, m - 1) if q > 1 else np.empty((0, 1), np.uint16)
+        table = np.vstack((np.concatenate([head[:, :c] for c in counts], axis=1),
+                           np.repeat(np.arange(q - 1, m, dtype=np.uint16), counts)))
+        table.flags.writeable = False
+        _COLEX[q] = table
+    return table[:, :size]
+
+
 def _exact_rows(x: np.ndarray, k: int, chunk: int):
     """Yield the rows of x at every k-subset of indices, at most ``chunk`` at a time.
 
-    In colexicographic order the r-subsets of range(m) are the first
-    C(m, r) entries of one table, so "every r-subset of range(m), then x at
+    Rows are x gathered through the cached ``_colex`` tables: in one piece when
+    C(n, k) <= chunk // k.  Otherwise "every r-subset of range(m), then x at
     fixed larger indices ``top``" is a table prefix plus constants.  Such a
-    block is packed into the reused buffer (which every yielded view
-    shares) when it has at most chunk // r rows, or when r = 1 (the table
-    is x itself); otherwise it is split by its largest free index j.
-    Tables for r >= 2 are capped at chunk // r rows as well, so tables and
-    buffer hold O(chunk * k) values together.
+    block is packed into the reused buffer (which every yielded view shares)
+    when it has at most chunk // r rows, or when r = 1 (the table is x
+    itself); otherwise it is split by its largest free index j.  Each level's
+    values, capped at chunk // r rows too, are gathered once per call, so
+    they and the buffer hold O(chunk * k) values together.
     """
     n, xs = x.size, x.tolist()
-    # tables[q]: x at the colex q-subsets, one contiguous row per position
-    tables = [None, x[None, :]]
+    if math.comb(n, k) <= chunk // k:
+        yield x[_colex(k, n)].T
+        return
+    values = {1: x[None, :]}  # values[q]: x at the level-q table, one contiguous row per position
 
     def blocks(r, m, top):
         size = math.comb(m, r)
@@ -163,17 +186,15 @@ def _exact_rows(x: np.ndarray, k: int, chunk: int):
     buf = np.empty((k, min(chunk, math.comb(n, k))))
     fill = 0
     for r, a, b, top in blocks(k, n, ()):
-        while len(tables) <= r:  # table q: for each j, table q - 1 up to C(j, q - 1), then j
-            q = m = len(tables)  # no block at level q reaches past index n - (k - q)
-            while m < n - (k - q) and math.comb(m + 1, q) <= chunk // q:
-                m += 1
-            counts = np.array([math.comb(j, q - 1) for j in range(q - 1, m)])
-            at = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-            tables.append(np.vstack((tables[-1][:, at], np.repeat(x[q - 1:m], counts))))
         if fill + b - a > buf.shape[1]:
             yield buf[:, :fill].T
             fill = 0
-        buf[:r, fill:fill + b - a] = tables[r][:, a:b]
+        if r not in values:  # no block at level r reaches past index n - (k - r)
+            m = r
+            while m < n - (k - r) and math.comb(m + 1, r) <= chunk // r:
+                m += 1
+            values[r] = x[_colex(r, m)]
+        buf[:r, fill:fill + b - a] = values[r][:, a:b]
         buf[r:, fill:fill + b - a] = np.reshape(top, (-1, 1))
         fill += b - a
     yield buf[:, :fill].T

@@ -53,13 +53,13 @@ __all__ = [
 _MC_FIRST_SEED = 0  # plan seed of mc_consistency_probe's first Monte Carlo run
 
 
-def _shape_args(n_draws, seed, bins) -> tuple[int, int, int]:
-    """A shape probe's draw count, seed and histogram bin count: ``bins``, or
-    about 2 n_draws^(1/3) when None."""
+def _shape_args(family, width, n_draws, seed, bins) -> tuple[int, int, int, np.ndarray]:
+    """A shape probe's draw count, seed, histogram bin count (``bins``, or about
+    2 n_draws^(1/3) when None) and its n_draws x width draws from the family."""
     n_draws, seed = _integer("n_draws", n_draws, 2), _integer("seed", seed, 0)
-    if bins is None:
-        return n_draws, seed, math.ceil(2.0 * n_draws ** (1.0 / 3.0))
-    return n_draws, seed, _integer("bins", bins, 1)
+    nbins = math.ceil(2.0 * n_draws ** (1.0 / 3.0)) if bins is None else _integer("bins", bins, 1)
+    u = _open_unit(np.random.default_rng(np.random.SeedSequence(seed)), (n_draws, width))
+    return n_draws, seed, nbins, family._q(u)
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +211,7 @@ def pairwise_diff_probe(
     draw from the histogram range so a handful of extreme differences cannot
     flood the statistic with empty bins.
     """
-    n_draws, seed, nbins = _shape_args(n_draws, seed, bins)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    u = _open_unit(rng, (n_draws, 2))
-    x = family._q(u)
+    n_draws, seed, nbins, x = _shape_args(family, 2, n_draws, seed, bins)
     d = -np.abs(x[:, 0] - x[:, 1])
     lo = float(np.quantile(d, tail_clip)) if tail_clip > 0 else float(d.min())
     counts, edges = np.histogram(d, bins=nbins, range=(lo, 0.0))
@@ -238,10 +235,8 @@ def kernel_shape_probe(
     clipped to the central (tail_clip, 1 - tail_clip) quantile range.
     """
     k = _integer("k", k, 3, 4)
-    n_draws, seed, nbins = _shape_args(n_draws, seed, bins)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    u = _open_unit(rng, (n_draws, k))
-    v = kernel_values(np.sort(family._q(u), axis=1), k)
+    n_draws, seed, nbins, x = _shape_args(family, k, n_draws, seed, bins)
+    v = kernel_values(np.sort(x, axis=1), k)
     if tail_clip > 0:
         lo, hi = np.quantile(v, [tail_clip, 1.0 - tail_clip])
     else:
@@ -309,10 +304,7 @@ def support_bound_probe(k: int, resolution: int = 100) -> SupportBoundsReport:
         list(combinations_with_replacement(range(resolution + 1), k - 2)),
         dtype=np.float64,
     ) / float(resolution)
-    tuples = np.empty((interior.shape[0], k))
-    tuples[:, 0] = 0.0
-    tuples[:, 1:-1] = interior
-    tuples[:, -1] = 1.0
+    tuples = np.pad(interior, ((0, 0), (1, 1)), constant_values=(0.0, 1.0))
     v = kernel_values(tuples, k)  # rows are ascending by construction
     lower, upper = kernel_support_bounds(k, -1.0)
     return SupportBoundsReport(

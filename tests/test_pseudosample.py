@@ -18,8 +18,9 @@ from hlmoments import (
     count_combinations,
     kernel_values,
 )
+from hlmoments import pseudosample
 from hlmoments.kernels import _TILE
-from hlmoments.pseudosample import _exact_rows, _monte_carlo_rows
+from hlmoments.pseudosample import _CHUNK, _exact_rows, _monte_carlo_rows
 
 
 def exact_rows(x, k, chunk):
@@ -148,6 +149,47 @@ class TestExactBuild:
         x = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
         out = build_pseudosample(x, 3)
         assert not np.any(np.signbit(out[out == 0.0]))
+
+
+class TestIndexCache:
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(pseudosample, "_COLEX", {})
+
+    def test_rows_are_the_colex_subsets_as_the_cache_grows_and_shrinks(self):
+        # each call reads its own prefix of the one table per level, however
+        # far earlier calls grew it; on x = 0..n-1 the rows are the index tuples.
+        # C(21, 6) rows are one gather at chunk 10**6 but split at _CHUNK
+        for n, k in ((14, 6), (21, 6), (9, 6)):
+            want = np.array(sorted(combinations(range(n), k), key=lambda c: c[::-1]))
+            for chunk in (1, 7, _CHUNK, 10**6):
+                got = np.vstack(exact_rows(np.arange(float(n)), k, chunk))
+                assert np.array_equal(got, want), (n, k, chunk)
+
+    def test_samples_of_one_size_share_one_table(self):
+        rng = np.random.default_rng(3)
+        build_pseudosample(rng.normal(size=16), 6)
+        table = pseudosample._COLEX[6]
+        build_pseudosample(rng.lognormal(size=16), 6)
+        assert pseudosample._COLEX[6] is table
+        assert not table.flags.writeable
+
+    def test_tables_stay_within_the_chunk_bound(self):
+        # n_k is the largest n whose C(n, k) rows are one gather, which takes
+        # level k to its cap; n_k + 1 and n_k + 4 split into lower levels
+        for k in range(2, 13):
+            n_k = max(n for n in range(k, 600) if math.comb(n, k) <= _CHUNK // k)
+            for n in (n_k, n_k + 1, n_k + 4):
+                for _ in _exact_rows(np.arange(float(n)), k, _CHUNK):
+                    pass
+        tables = pseudosample._COLEX
+        assert sorted(tables) == list(range(1, 13))
+        for q, table in tables.items():
+            assert table.dtype == np.uint16 and table.shape[0] == q
+            assert table.shape[1] <= _CHUNK // q, q
+            assert table.max() <= 511
+        # every level reached its cap: the worst case the module documents
+        assert sum(table.nbytes for table in tables.values()) == 4_776_450
 
 
 class TestKernelTiles:
