@@ -10,7 +10,7 @@ verify      run a named verification experiment and check its property
 Exit codes: 0 success, 2 usage or input parse failure, 3 domain error,
 4 capacity (exact enumeration over budget), 5 verification property failed.
 
-Input files are plain text: one real per line or comma-separated reals;
+Input files are UTF-8 text: one real per line or comma-separated reals;
 blank lines and a single header line are ignored.  Reports are emitted as
 JSON (default) or flat CSV; report bodies carry no timestamps, so identical
 configurations produce byte-identical output.
@@ -62,16 +62,38 @@ def _parse_family_arg(spec: str):
         raise _InputError(str(exc)) from exc
 
 
+# ASCII whitespace other than "\n"; text mode has already turned every "\r" into "\n"
+_INNER_SPACE = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
 def _read_reals(path: str) -> np.ndarray:
-    """Parse newline- or comma-separated reals; tolerate one header line."""
+    """Parse newline- or comma-separated reals; tolerate one header line.
+
+    Each value is Python's ``float`` of one comma field.  Plain data (ASCII
+    with no whitespace but newlines) is parsed in one bulk pass, where each
+    whitespace token is one field.  Other text, or a field ``float`` rejects,
+    takes the line loop: it skips blank lines, keeps a line only when all its
+    fields parse, skips one leading header and names any later bad line as
+    ``path:lineno`` (lines split on "\\n" only, as ``readlines`` splits).
+    Unreadable and non-UTF-8 files raise ``_InputError``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            data = fh.read()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: {exc}") from exc
+    if data.isascii() and not any(c in data for c in _INNER_SPACE):
+        tokens = data.replace(",", "\n").split()
+        try:
+            if tokens:
+                return np.fromiter(map(float, tokens), np.float64, len(tokens))
+        except ValueError:
+            pass  # a header or a bad line: the loop decides which
     values: list[float] = []
     first = True  # a single leading header line is allowed
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(data.split("\n"), start=1):
         text = line.strip()
         if not text:
             continue
@@ -319,13 +341,13 @@ def _make_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification experiment")
     p_ver.add_argument("experiment", choices=tuple(_EXPERIMENTS))
     p_ver.add_argument("--family", default="normal(0,1)")
-    p_ver.add_argument("--k", type=int, default=3)
-    p_ver.add_argument("--n", type=int, default=20)
+    p_ver.add_argument("--k", type=_int_type(2), default=3)
+    p_ver.add_argument("--n", type=_positive_int, default=20)
     p_ver.add_argument("--n-draws", type=_int_type(2), default=10**6)
     p_ver.add_argument("--n-list", default="20,50,100")
     p_ver.add_argument("--eps", type=float, default=0.1)
     p_ver.add_argument("--eps0", type=float, default=0.1)
-    p_ver.add_argument("--replications", type=int, default=1000)
+    p_ver.add_argument("--replications", type=_int_type(2), default=1000)
     p_ver.add_argument("--trials", type=_int_type(100), default=10**4)
     p_ver.add_argument("--draws", type=_positive_int, default=10**6)
     p_ver.add_argument("--seeds", type=_positive_int, default=10, help="Monte Carlo seed count")

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hlmoments import TrimSpec, hl_standardized_moment
-from hlmoments.cli import main
+from hlmoments.cli import _InputError, _read_reals, main
 
 
 def run_cli(capsys, argv):
@@ -132,6 +134,94 @@ class TestEstimate:
         header, row = out.strip().splitlines()
         assert "value" in header.split(",")
         assert "1.0" in row.split(",")
+
+
+# fields every text may use: numbers as float spells them, and a blank
+_PLAIN = ["0", "7", "-2.5", "1e-300", "-0.0", "1_000", "inf", "-inf", "nan", "Infinity", ""]
+# fields with outer or inner whitespace, ASCII or not, a non-ASCII digit and words
+_ODD = [" ", "\t", "3 ", " 4", "\xa08", "9\u2028", "\x85", "\x1c1", "\u0661",
+        "1 2", "5\t6", "1\x0b2", "1\x0c2", "1\x1f2", "1\xa02", "x", "label", "1.2.3"]
+
+
+def _texts(start, fields):
+    """Input files: ``start``, then lines of ``fields`` with mixed line endings."""
+    line = st.lists(st.sampled_from(fields), max_size=4).map(",".join)
+    ends = st.sampled_from(["\n", "\r\n", "\r", ",\n"])
+    return st.tuples(st.lists(st.tuples(line, ends), max_size=8), line).map(
+        lambda t: start + "".join(a + b for a, b in t[0]) + t[1])
+
+
+# half the texts start plain; each mixes the plain fields with at most two odd ones
+_INPUT_TEXTS = st.tuples(
+    st.one_of(st.just(""), st.sampled_from(["\ufeff", "7,label\n", "a,b\n", "x\r\n", "\ufeff1\n"])),
+    st.lists(st.sampled_from(_ODD), max_size=2),
+).flatmap(lambda t: _texts(t[0], _PLAIN + t[1]))
+
+
+class TestReadReals:
+    @staticmethod
+    def reference(path):
+        """The line-by-line parser ``_read_reals`` had before its bulk pass."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            raise _InputError(f"cannot read {path}: {exc}") from exc
+        values: list[float] = []
+        first = True  # a single leading header line is allowed
+        for lineno, line in enumerate(lines, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            try:  # a whole line parses before any of it is kept
+                row = [float(tok) for tok in text.split(",") if tok.strip()]
+            except ValueError:
+                if first:
+                    first = False
+                    continue
+                raise _InputError(f"{path}:{lineno}: cannot parse {text!r} as reals")
+            values.extend(row)
+            first = False
+        if not values:
+            raise _InputError(f"{path}: no numeric data found")
+        return np.asarray(values, dtype=np.float64)
+
+    @staticmethod
+    def outcome(read, path):
+        try:
+            return read(path).tobytes()
+        except _InputError as exc:
+            return str(exc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_INPUT_TEXTS)
+    @example(text="")
+    @example(text="0,1,2\n")
+    @example(text="x\n0\n1\n2\n\n")
+    @example(text="1,2\nbogus line\n3,4\n")
+    @example(text="7,label\n1.0\n2.0,x\n4.0\n")
+    @example(text="\ufeff1\n2\n")
+    @example(text="1\r\n,\r\n\r\n2,\r\n")
+    @example(text="1_000,inf,nan,-0.0,-nan\n")
+    @example(text="\xa01\n2\n")
+    def test_same_values_and_messages_as_the_line_loop(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "read_reals.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert self.outcome(_read_reals, str(path)) == self.outcome(self.reference, str(path))
+
+    @pytest.mark.parametrize("space", list(" \t\x0b\x0c\x1c\x1d\x1e\x1f\xa0\u2028\u3000"),
+                             ids=lambda c: f"U+{ord(c):04X}")
+    def test_inner_whitespace_is_no_separator(self, datafile, space):
+        # "1 2" is one field float rejects, so that first line is the header
+        assert _read_reals(datafile(f"1{space}2\n3\n")).tolist() == [3.0]
+
+    def test_non_utf8_input_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"1.0\n\xe9\n2.0\n")
+        code, out, err = run_cli(capsys, ["estimate", "--input", str(path), "--k", "2"])
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: 'utf-8' codec can't decode byte 0xe9 in position 4: "
+                       "invalid continuation byte\n")
 
 
 class TestTsd:
@@ -355,14 +445,24 @@ class TestOutputContracts:
         (["verify", "support-bounds", "--resolution", "19"], "must be an integer >= 20, got 19"),
         (["congruence", "--family", "pareto(2,1)", "--param", "shape", "--grid-size", "7"],
          "must be an integer >= 8, got 7"),
+        (["verify", "mc-consistency", "--n", "0"], "must be a positive integer, got 0"),
+        (["verify", "variance-dominance", "--replications", "1"],
+         "must be an integer >= 2, got 1"),
+        (["verify", "kernel-shape", "--k", "1"], "must be an integer >= 2, got 1"),
     ], ids=["estimate-n", "n-draws", "trials", "bins-zero", "bins-negative", "resolution",
-            "grid-size"])
+            "grid-size", "verify-n", "replications", "verify-k"])
     def test_counts_below_the_library_bound_are_usage_errors(self, capsys, argv, message):
         # the parser holds each count to the bound the library checks, so a bad
         # count exits 2 like a malformed one, not 3 from the library
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, "")
         assert f"error: argument {argv[-2]}: {message}\n" in err
+
+    def test_order_outside_a_probe_range_stays_a_domain_error(self, capsys):
+        # --k only holds the lowest order any probe takes; each probe checks its own range
+        code, out, err = run_cli(capsys, ["verify", "kernel-shape", "--k", "5"])
+        assert (code, out) == (3, "")
+        assert err == "error: k must be an integer in [3, 4], got 5\n"
 
     @pytest.mark.parametrize("argv", [
         ["estimate", "--k", "2", "--sample-seed"],
