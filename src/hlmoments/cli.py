@@ -136,11 +136,14 @@ def _int_type(low: int):
 _positive_int, _seed = _int_type(1), _int_type(0)
 
 
-def _int_list(text: str) -> tuple[int, ...]:
+def _n_list(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        sizes = tuple(int(tok) for tok in text.split(","))
     except ValueError as exc:
         raise _InputError(f"expected comma-separated integers, got {text!r}") from exc
+    if min(sizes) < 4:  # the library's bound, held here like a count option's
+        raise _InputError(f"argument --n-list: must be {_integer_range(4)}, got {min(sizes)}")
+    return sizes
 
 
 def _build_plan(args):
@@ -234,7 +237,7 @@ _EXPERIMENTS = {
     ),
     "variance-dominance": (
         lambda a: _verify.variance_comparison(
-            _parse_family_arg(a.family), _int_list(a.n_list),
+            _parse_family_arg(a.family), _n_list(a.n_list),
             eps=a.eps, replications=a.replications, seed=a.seed,
         ),
         lambda r, a: all(x > 1.0 for x in r.ratio)
@@ -309,7 +312,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="robust central / standardized moment")
     _add_data_args(p_est)
-    p_est.add_argument("--k", type=int, required=True, help="moment order (>= 2)")
+    p_est.add_argument("--k", type=_int_type(2), required=True, help="moment order (>= 2)")
     p_est.add_argument("--eps0", type=float, default=0.0, help="upper trim fraction")
     p_est.add_argument("--gamma", type=float, default=1.0, help="lower trim multiplier")
     p_est.add_argument("--estimator", choices=("trimmed-mean", "median"), default="trimmed-mean")

@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ArgumentError, _integer, _real
+from .errors import ArgumentError, _integer, _real, _reals
 from .records import Record
 
 __all__ = [
@@ -83,17 +83,17 @@ class Family:
 
     def quantile(self, p):
         """Quantile function Q(p) for p strictly inside (0, 1)."""
-        arr = np.asarray(p, dtype=np.float64)
-        if arr.size and (not np.isfinite(arr).all() or (arr <= 0).any() or (arr >= 1).any()):
+        arr = _reals("p", p)
+        if (arr <= 0).any() or (arr >= 1).any():
             raise ArgumentError("quantile probabilities must lie strictly in (0, 1)")
         out = self._q(arr)
-        return float(out) if np.isscalar(p) or np.ndim(p) == 0 else out
+        return float(out) if arr.ndim == 0 else out
 
-    def cdf(self, x):
-        return self._cdf(np.asarray(x, dtype=np.float64))
+    def cdf(self, x):  # x may be +-inf: cdf(inf) is 1
+        return self._cdf(_reals("x", x, finite=False))
 
-    def pdf(self, x):
-        return self._pdf(np.asarray(x, dtype=np.float64))
+    def pdf(self, x):  # x may be +-inf
+        return self._pdf(_reals("x", x, finite=False))
 
     def mean(self) -> float:
         """Closed-form mean; ``inf`` signals an infinite first moment."""

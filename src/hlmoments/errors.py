@@ -1,4 +1,4 @@
-"""Exception hierarchy, and the one rule each for integer and real arguments.
+"""Exception hierarchy, and the one rule each for integer, real and array arguments.
 
 Public functions never raise a bare ValueError: every contract violation maps
 to one of the semantic errors below so callers (and the CLI) can translate
@@ -15,12 +15,20 @@ checked by ``_real``: it takes any ``numbers.Real`` but ``bool`` (so
 ``np.float32`` and integers too) that is finite and within the parameter's
 range and returns a Python ``float``; anything else (``True``, ``"2"``,
 ``nan``, ``inf``, an out-of-range value) raises ``ArgumentError``.
+
+Every array parameter is read by ``_reals``: what numpy reads as integers or
+floats, or objects that are all reals but bools (Fractions, ints beyond
+int64), becomes float64, finite unless the function documents otherwise;
+text, bool, complex, ragged or non-real input raises ``ArgumentError``.
+Report record fields follow the integer and real rules (see ``records``).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+
+import numpy as np
 
 __all__ = [
     "ArgumentError",
@@ -71,6 +79,11 @@ class CombinationOverflowError(CapacityError):
     """A combination count does not fit in 64 bits; use Monte Carlo instead."""
 
 
+# Finite samples whose kernel values, or their means, overflow: every route raises
+# this after evaluating with numpy's overflow and invalid-value warnings silenced.
+_OVERFLOW = "kernel values overflow; the sample's range is too wide"
+
+
 def _integer_range(low: int, high: int | None = None) -> str:
     """How messages name the integers in [low, high]."""
     if high is not None:
@@ -106,3 +119,22 @@ def _real(name: str, value, low: float = -math.inf, high: float = math.inf, *,
         right = ")" if open_high or high == math.inf else "]"
         want += f" in {left}{low:g}, {high:g}{right}"
     raise ArgumentError(f"{name} must be {want}, got {value!r}")
+
+
+def _reals(name: str, values, ndim: int | None = None, *, finite: bool = True) -> np.ndarray:
+    """``values`` as float64 (a float64 array itself) of rank ``ndim`` if given."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype == object and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                                       for v in arr.flat):
+            arr = arr.astype(np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged, or beyond a double
+        raise ArgumentError(f"{name} must be an array of reals: {exc}") from exc
+    if arr.dtype.kind not in "iuf" or ndim not in (None, arr.ndim):
+        rank = "" if ndim is None else f" of rank {ndim}"
+        raise ArgumentError(
+            f"{name} must be an array of reals{rank}, got {arr.dtype} of shape {arr.shape}")
+    arr = arr.astype(np.float64, copy=False)
+    if finite and not np.isfinite(arr).all():
+        raise ArgumentError(f"{name} entries must be finite (no NaN/inf)")
+    return arr

@@ -87,6 +87,7 @@ def _estimate(sample, k, trim, estimator, plan) -> MomentEstimate:
     if not isinstance(estimator, LEstimatorSpec):
         raise ArgumentError(f"estimator must be an LEstimatorSpec, got {estimator!r}")
     k = _check_order(k)
+    sample = _checked_sample(sample, k)
     if k == 2 and estimator.kind != "weighted" and isinstance(plan, ExactPlan):
         _, x, pseudo_n = _sorted_sample(sample, k, plan)
         value = _homogeneous(lambda s: _pairwise_window(s, trim, estimator.kind), x, 2)
@@ -99,7 +100,7 @@ def _estimate(sample, k, trim, estimator, plan) -> MomentEstimate:
         eps0=trim.eps0,
         gamma=trim.gamma,
         eps=breakdown_from_trim(trim.eps0, k),
-        n=int(np.asarray(sample).size),
+        n=sample.size,
         pseudo_n=pseudo_n,
         method=f"hl-central-moment/{estimator.kind}",
         seed=plan.seed if isinstance(plan, MonteCarloPlan) else None,

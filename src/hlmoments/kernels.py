@@ -46,8 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ArgumentError, UnsupportedOrderError, _integer, _real
-from .lstat import _OVERFLOW
+from .errors import _OVERFLOW, ArgumentError, UnsupportedOrderError, _integer, _real, _reals
 
 __all__ = [
     "MAX_ORDER",
@@ -162,8 +161,8 @@ def kernel_values(x: np.ndarray, k: int) -> np.ndarray:
     ``central_moment_kernel`` sorts each tuple first.
     """
     k = _check_order(k)
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != k:
+    x = _reals("x", x, 2, finite=False)
+    if x.shape[1] != k:
         raise ArgumentError(
             f"expected an (m, {k}) array of {k}-tuples, got shape {x.shape}"
         )
@@ -189,7 +188,7 @@ def central_moment_kernel(values, k: int | None = None):
         Kernel value per tuple; each tuple is sorted first, so bit for bit
         permutation invariant.  A value beyond a double raises ``ArgumentError``.
     """
-    x = np.asarray(values, dtype=np.float64)
+    x = _reals("values", values)
     if x.ndim not in (1, 2):
         raise ArgumentError(f"expected a k-tuple or an (m, k) batch, got ndim={x.ndim}")
     width = x.shape[-1]
@@ -198,8 +197,6 @@ def central_moment_kernel(values, k: int | None = None):
     k = _check_order(k)
     if width != k:
         raise ArgumentError(f"tuple length {width} does not match order k={k}")
-    if not np.isfinite(x).all():
-        raise ArgumentError("kernel arguments must be finite")
     x = np.sort(x, axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):
         values = kernel_values(np.atleast_2d(x), k)

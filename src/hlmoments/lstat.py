@@ -28,12 +28,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
+    _OVERFLOW,
     ArgumentError,
     ConfigurationError,
     ContractViolationError,
     DegenerateTrimError,
     _integer,
     _real,
+    _reals,
 )
 
 __all__ = [
@@ -46,11 +48,6 @@ __all__ = [
     "breakdown_from_trim",
     "trim_from_breakdown",
 ]
-
-
-# Finite samples whose kernel values, or their means, overflow: every route raises
-# this after evaluating with numpy's overflow and invalid-value warnings silenced.
-_OVERFLOW = "kernel values overflow; the sample's range is too wide"
 
 
 def _snap(x: float, tol: float = 1e-9) -> float:
@@ -125,19 +122,6 @@ def retained_window(n: int, trim: TrimSpec) -> tuple[int, int]:
     return lo, hi
 
 
-def _checked_sorted(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ArgumentError(f"expected a 1-D sequence, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ArgumentError("expected a non-empty sequence")
-    if not np.isfinite(arr).all():
-        raise ArgumentError("sequence entries must be finite")
-    if np.any(arr[1:] < arr[:-1]):  # np.diff would copy the whole sequence
-        raise ContractViolationError("input sequence must be sorted ascending")
-    return arr
-
-
 def _midpoint(a, b) -> float:
     """(a + b) / 2 of finite a and b, halving each first only where a + b overflows."""
     mid = 0.5 * (float(a) + float(b))
@@ -178,14 +162,21 @@ def apply_lestimator(
     spec: LEstimatorSpec, sorted_values, trim: TrimSpec = TrimSpec()
 ) -> float:
     """Apply the selected L-estimator to the trimmed window of sorted data."""
-    arr = _checked_sorted(sorted_values)
+    arr = _reals("sorted_values", sorted_values, 1)
+    if arr.size == 0:
+        raise ArgumentError("expected a non-empty sequence")
+    if np.any(arr[1:] < arr[:-1]):  # np.diff would copy the whole sequence
+        raise ContractViolationError("input sequence must be sorted ascending")
     lo, hi = retained_window(arr.size, trim)
     window = arr[lo:hi]
     if spec.kind == "trimmed-mean":
         return _homogeneous(np.mean, window, 1)
     if spec.kind == "median":
         return _midpoint(window[(window.size - 1) // 2], window[window.size // 2])
-    w = np.asarray(spec.weights(window.size), dtype=np.float64)
+    try:
+        w = _reals("weights", spec.weights(window.size))
+    except ArgumentError as exc:
+        raise ConfigurationError(f"weights function returned bad weights: {exc}") from exc
     if w.shape != window.shape:
         raise ConfigurationError(
             f"weights function returned shape {w.shape} for window of "

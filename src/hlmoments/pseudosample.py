@@ -20,13 +20,15 @@ from typing import Union
 import numpy as np
 
 from .errors import (
+    _OVERFLOW,
     ArgumentError,
     CapacityError,
     CombinationOverflowError,
     _integer,
+    _reals,
 )
 from .kernels import _check_order, _psi2, kernel_values
-from .lstat import _OVERFLOW, TrimSpec, _midpoint, retained_window
+from .lstat import TrimSpec, _midpoint, retained_window
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -201,14 +203,7 @@ def _exact_rows(x: np.ndarray, k: int, chunk: int):
 
 
 def _checked_sample(sample, k: int) -> np.ndarray:
-    try:
-        x = np.asarray(sample, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ArgumentError(f"sample must be real numbers: {exc}") from exc
-    if x.ndim != 1:
-        raise ArgumentError(f"sample must be 1-D, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ArgumentError("sample entries must be finite (no NaN/inf)")
+    x = _reals("sample", sample, 1)
     if x.size < k:
         raise ArgumentError(f"sample size {x.size} is smaller than k={k}")
     return x

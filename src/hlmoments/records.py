@@ -7,6 +7,7 @@ so it survives a JSON round trip unchanged.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import MISSING, fields
 from typing import ClassVar, Union, get_args, get_origin, get_type_hints
 
@@ -17,12 +18,14 @@ SCHEMA_VERSION = 1
 
 def _coerce(hint, value):
     origin = get_origin(hint)
-    if origin is tuple:  # tuple[T, ...]
-        item = get_args(hint)[0]
-        return tuple(item(v) for v in value)
     if origin is Union:  # Optional[T]
-        return None if value is None else get_args(hint)[0](value)
-    return hint(value)
+        return None if value is None else _coerce(get_args(hint)[0], value)
+    if origin is tuple and isinstance(value, (list, tuple)):  # tuple[T, ...]
+        return tuple(_coerce(get_args(hint)[0], v) for v in value)
+    takes = {int: numbers.Integral, float: numbers.Real, str: str}.get(hint, ())
+    if isinstance(value, takes) and not isinstance(value, bool):
+        return hint(value)
+    raise TypeError(f"{value!r} does not fit {hint}")
 
 
 class Record:
@@ -32,7 +35,8 @@ class Record:
     as one of ``str``, ``int``, ``float``, ``Optional[int]``,
     ``tuple[int, ...]`` or ``tuple[float, ...]``; ``from_dict`` rebuilds the
     field through that annotation, and a field with a default may be absent.
-    Malformed input raises ``ArgumentError``.
+    An ``int`` takes an integer, a ``float`` any real (inf and NaN too), but
+    neither a bool; a tuple takes a list or tuple.  Anything else raises ``ArgumentError``.
     """
 
     RECORD: ClassVar[str]

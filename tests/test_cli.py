@@ -449,14 +449,23 @@ class TestOutputContracts:
         (["verify", "variance-dominance", "--replications", "1"],
          "must be an integer >= 2, got 1"),
         (["verify", "kernel-shape", "--k", "1"], "must be an integer >= 2, got 1"),
+        (["estimate", "--family", "normal(0,1)", "--k", "1"], "must be an integer >= 2, got 1"),
+        (["verify", "variance-dominance", "--replications", "2", "--n-list", "3,20"],
+         "must be an integer >= 4, got 3"),
     ], ids=["estimate-n", "n-draws", "trials", "bins-zero", "bins-negative", "resolution",
-            "grid-size", "verify-n", "replications", "verify-k"])
+            "grid-size", "verify-n", "replications", "verify-k", "estimate-k", "n-list"])
     def test_counts_below_the_library_bound_are_usage_errors(self, capsys, argv, message):
         # the parser holds each count to the bound the library checks, so a bad
         # count exits 2 like a malformed one, not 3 from the library
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, "")
         assert f"error: argument {argv[-2]}: {message}\n" in err
+
+    def test_order_above_the_supported_cap_stays_a_domain_error(self, capsys):
+        # --k holds the lowest order only; the cap of 12 is the library's domain check
+        code, out, err = run_cli(capsys, ["estimate", "--family", "normal(0,1)", "--k", "13"])
+        assert (code, out) == (3, "")
+        assert err == "error: moment order 13 exceeds the supported cap 12\n"
 
     def test_order_outside_a_probe_range_stays_a_domain_error(self, capsys):
         # --k only holds the lowest order any probe takes; each probe checks its own range

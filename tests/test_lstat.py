@@ -98,6 +98,14 @@ class TestApply:
         with pytest.raises(ConfigurationError):
             apply_lestimator(spec, [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("weights", [
+        lambda m: ["a"] * m, lambda m: [0.5j] * m, lambda m: [{}] * m, lambda m: None,
+    ], ids=["text", "complex", "non-real", "None"])
+    def test_weights_that_are_not_reals_rejected(self, weights):
+        # a configuration fault like bad weights, not a bare ValueError or TypeError
+        with pytest.raises(ConfigurationError, match="weights must be an array of reals"):
+            apply_lestimator(LEstimatorSpec.weighted(weights), [1.0, 2.0])
+
     def test_weighted_without_function_rejected(self):
         with pytest.raises(ConfigurationError):
             LEstimatorSpec(kind="weighted")

@@ -233,16 +233,21 @@ class TestReportSerialization:
         ]
 
     @pytest.mark.parametrize(
-        "case", ["missing-field", "uncoercible", "not-a-dict", "foreign-tag", "schema-version"]
+        "case", ["missing-field", "uncoercible", "not-a-dict", "foreign-tag", "schema-version",
+                 "numeric-text", "numeric-bool", "tuple-text"]
     )
     @pytest.mark.parametrize("rec", RECORDS, ids=lambda rec: type(rec).__name__)
     def test_malformed_input_raises_argument_error(self, rec, case):
         d = rec.to_dict()
         first = fields(rec)[0].name
         numeric = next(f.name for f in fields(rec) if type(d[f.name]) in (int, float))
+        seq = next((f.name for f in fields(rec) if type(d[f.name]) is list), numeric)
         bad = {
             "missing-field": {key: v for key, v in d.items() if key != first},
             "uncoercible": {**d, numeric: "not a number"},
+            "numeric-text": {**d, numeric: str(d[numeric])},
+            "numeric-bool": {**d, numeric: True},
+            "tuple-text": {**d, seq: "1" * 8},
             "not-a-dict": [d],
             "foreign-tag": {**d, "record": "congruence-verdict" if d["record"] == "moment-estimate"
                             else "moment-estimate"},
@@ -250,6 +255,27 @@ class TestReportSerialization:
         }[case]
         with pytest.raises(ArgumentError):
             type(rec).from_dict(bad)
+
+    @pytest.mark.parametrize("record, field, value", [
+        ("moment-estimate", "k", 2.7), ("moment-estimate", "seed", 3.9),
+        ("moment-estimate", "n", "10"), ("moment-estimate", "k", True),
+        ("moment-estimate", "method", None), ("shape-probe", "kind", 3),
+        ("congruence-verdict", "signs", "11111111"),
+        ("congruence-verdict", "signs", [1, 0.5]), ("congruence-verdict", "gamma", "1"),
+        ("shape-probe", "counts", [1, True]),
+    ])
+    def test_fields_take_only_values_of_their_annotation(self, record, field, value):
+        rec = next(r for r in RECORDS if r.RECORD == record)
+        with pytest.raises(ArgumentError, match=f"field {field!r} cannot hold"):
+            type(rec).from_dict({**rec.to_dict(), field: value})
+
+    def test_float_fields_take_inf_and_nan_and_integers(self):
+        probe = next(r for r in RECORDS if r.RECORD == "shape-probe")
+        d = {**probe.to_dict(), "abs_median_over_sigma": math.nan, "median": -math.inf,
+             "sigma": 2, "bin_edges": [0, 0.5, 1]}
+        back = type(probe).from_dict(json.loads(json.dumps(d)))
+        assert math.isnan(back.abs_median_over_sigma) and back.median == -math.inf
+        assert repr(back.sigma) == "2.0" and back.bin_edges == (0.0, 0.5, 1.0)
 
     def test_unknown_record_rejected(self):
         for bad in ({"record": "mystery"}, {"record": ["x"]}, RECORDS[0].to_dict(), [1], None):
