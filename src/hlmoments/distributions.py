@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ArgumentError, _integer, _real, _reals
+from .errors import ArgumentError, _instance, _integer, _real, _reals
 from .records import Record
 
 __all__ = [
@@ -89,11 +89,21 @@ class Family:
         out = self._q(arr)
         return float(out) if arr.ndim == 0 else out
 
-    def cdf(self, x):  # x may be +-inf: cdf(inf) is 1
-        return self._cdf(_reals("x", x, finite=False))
+    def cdf(self, x):  # x may be +-inf: cdf(-inf) is 0, cdf(inf) is 1
+        return self._at(self._cdf, x, 1.0)
 
-    def pdf(self, x):  # x may be +-inf
-        return self._pdf(_reals("x", x, finite=False))
+    def pdf(self, x):  # x may be +-inf: pdf(+-inf) is 0
+        return self._at(self._pdf, x, 0.0)
+
+    @staticmethod
+    def _at(f, x, at_inf: float) -> np.ndarray:
+        """The family's formula ``f`` at the finite entries of x, 0 at -inf and
+        ``at_inf`` at inf.  A term that overflows is inf, which the formulas take
+        to their limit (a density or tail of 0), so its overflow is not a warning."""
+        x = _reals("x", x, finite=False)
+        with np.errstate(over="ignore"):
+            out = f(np.where(np.isfinite(x), x, 0.0))
+        return np.where(x == np.inf, at_inf, np.where(x == -np.inf, 0.0, out))
 
     def mean(self) -> float:
         """Closed-form mean; ``inf`` signals an infinite first moment."""
@@ -132,9 +142,10 @@ class Weibull(Family):
         return np.where(x <= 0, 0.0, out)
 
     def _pdf(self, x):
-        z = np.clip(x / self.scale, 0, None)
-        out = (self.shape / self.scale) * z ** (self.shape - 1) * np.exp(-(z**self.shape))
-        return np.where(x <= 0, 0.0, out)
+        xp = np.where(x > 0, x, self.scale)  # the scale stands in where the density is 0
+        log_z = np.log(xp) - math.log(self.scale)
+        out = np.exp((self.shape - 1.0) * log_z - np.exp(self.shape * log_z))
+        return np.where(x > 0, (self.shape / self.scale) * out, 0.0)
 
     def mean(self) -> float:
         return self.scale * _special().gamma(1.0 + 1.0 / self.shape)
@@ -155,7 +166,8 @@ class Pareto(Family):
         return np.where(x < self.xm, 0.0, out)
 
     def _pdf(self, x):
-        out = self.shape * self.xm**self.shape / np.clip(x, self.xm, None) ** (self.shape + 1)
+        xc = np.clip(x, self.xm, None)
+        out = self.shape / xc * (self.xm / xc) ** self.shape
         return np.where(x < self.xm, 0.0, out)
 
     def mean(self) -> float:
@@ -205,9 +217,10 @@ class Gamma(Family):
         return _special().gammainc(self.shape, np.clip(x, 0, None) / self.scale)
 
     def _pdf(self, x):
-        z = np.clip(x, np.finfo(float).tiny, None) / self.scale
-        logp = (self.shape - 1.0) * np.log(z) - z - _special().gammaln(self.shape) - np.log(self.scale)
-        return np.where(x <= 0, 0.0, np.exp(logp))
+        xp = np.where(x > 0, x, self.scale)  # the scale stands in where the density is 0
+        log_z = np.log(xp) - math.log(self.scale)
+        logp = (self.shape - 1.0) * log_z - xp / self.scale - _special().gammaln(self.shape)
+        return np.where(x > 0, np.exp(logp - math.log(self.scale)), 0.0)
 
     def mean(self) -> float:
         return self.shape * self.scale
@@ -297,7 +310,7 @@ _FAMILY_BUILDERS = {
 
 def parse_family(spec: str) -> Family:
     """Parse a family spec string like ``"weibull(1,1)"`` or ``"normal(0,1)"``."""
-    s = spec.strip().lower()
+    s = _instance("spec", spec, str).strip().lower()
     name, sep, rest = s.partition("(")
     name = name.strip()
     if name not in _FAMILY_BUILDERS:
@@ -336,6 +349,7 @@ def _qa_levels(eps, gamma) -> tuple[float, float]:
 
 def quantile_average(family: Family, eps: float, gamma: float) -> float:
     """QA(eps, gamma) = (Q(gamma*eps) + Q(1-eps)) / 2."""
+    family = _instance("family", family, Family)
     lo, hi = _qa_levels(eps, gamma)
     return 0.5 * (family.quantile(lo) + family.quantile(hi))
 
@@ -354,6 +368,7 @@ def qa_partial_sign(
     difference quotient (a few ulps of the quantile magnitudes divided by
     the step), and is treated as compatible with either sign.
     """
+    family = _instance("family", family, Family)
     if param not in family.param_names:
         raise ArgumentError(
             f"{type(family).__name__} has no parameter {param!r}; "
@@ -378,8 +393,7 @@ def lognormal_qa_sigma_derivative(family: LogNormal, eps: float, gamma: float) -
     dQ(p)/dsigma = Phi^(-1)(p) * Q(p), so the derivative of the quantile
     average is the half-sum of the two weighted quantiles.
     """
-    if not isinstance(family, LogNormal):
-        raise ArgumentError("analytic derivative is for the lognormal family")
+    family = _instance("family", family, LogNormal)
     lo, hi = _qa_levels(eps, gamma)
     zlo, zhi = _special().ndtri(lo), _special().ndtri(hi)
     return 0.5 * (

@@ -1,4 +1,4 @@
-"""Exception hierarchy, and the one rule each for integer, real and array arguments.
+"""Exception hierarchy, and the one rule each for integer, real, array and typed arguments.
 
 Public functions never raise a bare ValueError: every contract violation maps
 to one of the semantic errors below so callers (and the CLI) can translate
@@ -21,6 +21,9 @@ floats, or objects that are all reals but bools (Fractions, ints beyond
 int64), becomes float64, finite unless the function documents otherwise;
 text, bool, complex, ragged or non-real input raises ``ArgumentError``.
 Report record fields follow the integer and real rules (see ``records``).
+
+A typed parameter (a trim, an L-estimator, a plan, a family, a spec string) is
+checked by ``_instance``: a value of any other class raises ``ArgumentError``.
 """
 
 from __future__ import annotations
@@ -138,3 +141,13 @@ def _reals(name: str, values, ndim: int | None = None, *, finite: bool = True) -
     if finite and not np.isfinite(arr).all():
         raise ArgumentError(f"{name} entries must be finite (no NaN/inf)")
     return arr
+
+
+def _instance(name: str, value, types):
+    """``value`` if it is an instance of ``types``, a class or a tuple of classes; else an
+    ``ArgumentError`` with "a" or "an" as read aloud ("a TrimSpec", "an LEstimatorSpec")."""
+    if isinstance(value, types):
+        return value
+    want = " or ".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
+    article = "an" if want[0] in "AEIOU" or want[1].isupper() and want[0] in "FHLMNRSX" else "a"
+    raise ArgumentError(f"{name} must be {article} {want}, got {value!r}")

@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ArgumentError, DegenerateSampleError, DegenerateTrimError, _integer, _real
+from .errors import DegenerateSampleError, DegenerateTrimError, _instance, _integer, _real
 from .kernels import _check_order
 from .lstat import (
     LEstimatorSpec,
@@ -82,10 +82,8 @@ class MomentEstimate(Record):
 
 def _estimate(sample, k, trim, estimator, plan) -> MomentEstimate:
     """``hl_central_moment``'s record; the other callers replace its ``method``."""
-    if not isinstance(trim, TrimSpec):
-        raise ArgumentError(f"trim must be a TrimSpec, got {trim!r}")
-    if not isinstance(estimator, LEstimatorSpec):
-        raise ArgumentError(f"estimator must be an LEstimatorSpec, got {estimator!r}")
+    trim = _instance("trim", trim, TrimSpec)
+    estimator = _instance("estimator", estimator, LEstimatorSpec)
     k = _check_order(k)
     sample = _checked_sample(sample, k)
     if k == 2 and estimator.kind != "weighted" and isinstance(plan, ExactPlan):
@@ -140,8 +138,7 @@ def hl_standardized_moment(
     the smaller of the numerator's and denominator's.
     """
     k = _integer("k", k, 3)
-    if trim_scale is None:
-        trim_scale = trim
+    trim_scale = trim if trim_scale is None else _instance("trim_scale", trim_scale, TrimSpec)
     num = hl_central_moment(sample, k, trim, estimator, plan)
     den = hl_central_moment(sample, 2, trim_scale, estimator, plan)
     if den.value <= 0.0:

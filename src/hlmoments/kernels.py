@@ -25,11 +25,14 @@ coefficient per partition of k into parts >= 2 (21 terms at k = 12).  The
 coefficients are derived once per order, in exact arithmetic, from the
 definition above: sum_i x_i^(k-j) e_j(x without i) expands to
 sum_m (-1)^m e_(j-m) p_(k-j+m), and Newton's identities turn each elementary
-symmetric polynomial e_r into power sums with p_1 = 0.  Centring keeps every
-term at the scale of the tuple's spread, but the one-pass mean is off by about
-2^-53 times the location and every d_i carries that offset, so the error grows
-with location over spread: about 6e-9 of mean|d|^k for untrimmed k = 3
-estimates of normal data shifted by 1e8.  ``kernel_values`` evaluates rows as
+symmetric polynomial e_r into power sums with p_1 = 0.  Each row is centred
+about its first value, d_i = (x_i - x_1) - mean_j(x_j - x_1), so only
+differences are summed and every term and its rounding stay at the scale of
+the tuple's spread wherever the tuple sits (a constant tuple is exactly 0,
+even near the double limit).  Against the exact rational kernel, the worst
+error over 240 normal, lognormal and small-integer tuples per order, shifted
+by up to 1e8, was 20 / 30 / 130 / 335 / 1670 units of 2^-53 mean|d|^k at
+k = 3 / 4 / 6 / 8 / 12.  ``kernel_values`` evaluates rows as
 given (k = 2 by ``_psi2``, which pairwise selection shares, so both agree bit
 for bit); ``central_moment_kernel`` sorts each tuple first, so it is exactly
 (bit for bit) permutation invariant.
@@ -126,19 +129,25 @@ def _power_sum_kernel(x: np.ndarray, k: int) -> np.ndarray:
     out = np.zeros(x.shape[0])
     for start in range(0, x.shape[0], _TILE):
         cols = [x[start:start + _TILE, i] for i in range(k)]
-        mean = cols[0].copy()
-        for col in cols[1:]:
-            mean += col
+        mean = cols[1] - cols[0]  # of each row's differences from its first value
+        for col in cols[2:]:
+            mean += col - cols[0]
         mean /= k
-        sums = {r: np.zeros(mean.size) for r in orders}
+        sums = {}
         for col in cols:
-            d = col - mean
+            if col is cols[0]:
+                d = -mean  # (x_0 - x_0) - mean
+            else:
+                d = col - cols[0]
+                d -= mean
             power = d * d
             for r in range(2, k + 1):
                 if r > 2:
                     power *= d
                 if r in sums:
                     sums[r] += power
+                elif r in orders:
+                    sums[r] = power.copy()
         tile = out[start:start + _TILE]
         for parts, coef in terms:
             term = sums[parts[0]] * float(coef)

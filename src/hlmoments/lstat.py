@@ -33,6 +33,7 @@ from .errors import (
     ConfigurationError,
     ContractViolationError,
     DegenerateTrimError,
+    _instance,
     _integer,
     _real,
     _reals,
@@ -93,7 +94,7 @@ class LEstimatorSpec:
             raise ConfigurationError(
                 f"unknown L-estimator kind {self.kind!r}; expected one of {self._KINDS}"
             )
-        if self.kind == "weighted" and self.weights is None:
+        if self.kind == "weighted" and not callable(self.weights):
             raise ConfigurationError("kind 'weighted' requires a weights function")
 
     @classmethod
@@ -111,7 +112,7 @@ class LEstimatorSpec:
 
 def retained_window(n: int, trim: TrimSpec) -> tuple[int, int]:
     """Half-open 0-based index window [lo, hi) retained after trimming."""
-    n = _integer("n", n, 1)
+    n, trim = _integer("n", n, 1), _instance("trim", trim, TrimSpec)
     lo = math.ceil(_snap(n * trim.gamma * trim.eps0))
     hi = math.floor(_snap(n * (1.0 - trim.eps0)))
     if hi - lo < 1:
@@ -162,7 +163,7 @@ def apply_lestimator(
     spec: LEstimatorSpec, sorted_values, trim: TrimSpec = TrimSpec()
 ) -> float:
     """Apply the selected L-estimator to the trimmed window of sorted data."""
-    arr = _reals("sorted_values", sorted_values, 1)
+    spec, arr = _instance("spec", spec, LEstimatorSpec), _reals("sorted_values", sorted_values, 1)
     if arr.size == 0:
         raise ArgumentError("expected a non-empty sequence")
     if np.any(arr[1:] < arr[:-1]):  # np.diff would copy the whole sequence

@@ -24,6 +24,7 @@ from .errors import (
     ArgumentError,
     CapacityError,
     CombinationOverflowError,
+    _instance,
     _integer,
     _reals,
 )
@@ -212,6 +213,7 @@ def _checked_sample(sample, k: int) -> np.ndarray:
 def _sorted_sample(sample, k, plan: PseudoPlan) -> tuple[int, np.ndarray, int]:
     """(k, sorted sample, pseudo-sample size) of a valid order, sample and plan
     whose exact C(n, k) is within its budget: what both routes start from."""
+    plan = _instance("plan", plan, (ExactPlan, MonteCarloPlan))
     k = _check_order(k)
     x = _checked_sample(sample, k)
     if isinstance(plan, ExactPlan):
@@ -221,10 +223,8 @@ def _sorted_sample(sample, k, plan: PseudoPlan) -> tuple[int, np.ndarray, int]:
                 f"C({x.size}, {k}) = {total} exceeds the exact-mode budget "
                 f"{plan.budget}; use a Monte Carlo plan"
             )
-    elif isinstance(plan, MonteCarloPlan):
-        total = plan.draws
     else:
-        raise ArgumentError(f"unknown plan type {type(plan).__name__}")
+        total = plan.draws
     return k, np.sort(x), total
 
 
@@ -241,7 +241,12 @@ def build_pseudosample(sample, k: int, plan: PseudoPlan = ExactPlan()) -> np.nda
         chunks = _exact_rows(x, k, _CHUNK)
     else:
         chunks = _monte_carlo_rows(x, k, plan)
-    out = np.empty(total)
+    try:
+        out = np.empty(total)
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest array
+        raise CapacityError(
+            f"a pseudo-sample of {total} values ({8 * total} bytes) is too large to allocate"
+        ) from exc
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for rows in chunks:

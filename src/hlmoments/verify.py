@@ -22,7 +22,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .errors import ArgumentError, _integer, _real
+from .errors import ArgumentError, _instance, _integer, _real
 from .estimators import (
     hl_central_moment,
     hl_standardized_moment,
@@ -56,6 +56,7 @@ _MC_FIRST_SEED = 0  # plan seed of mc_consistency_probe's first Monte Carlo run
 def _shape_args(family, width, n_draws, seed, bins) -> tuple[int, int, int, np.ndarray]:
     """A shape probe's draw count, seed, histogram bin count (``bins``, or about
     2 n_draws^(1/3) when None) and its n_draws x width draws from the family."""
+    family = _instance("family", family, Family)
     n_draws, seed = _integer("n_draws", n_draws, 2), _integer("seed", seed, 0)
     nbins = math.ceil(2.0 * n_draws ** (1.0 / 3.0)) if bins is None else _integer("bins", bins, 1)
     u = _open_unit(np.random.default_rng(np.random.SeedSequence(seed)), (n_draws, width))
@@ -264,6 +265,7 @@ def variance_comparison(
     symmetric differences, so its trimmed SD is expected to be strictly more
     stable, increasingly so as n grows.
     """
+    family = _instance("family", family, Family)
     replications = _integer("replications", replications, 2)
     n_values = tuple(_integer("each of n_values", n, 4) for n in n_values)
     seed = _integer("seed", seed, 0)
@@ -391,6 +393,7 @@ def mc_consistency_probe(
     the Monte Carlo estimate over consecutive seeds and reports relative
     deviations and the number within tolerance.
     """
+    family = _instance("family", family, Family)
     n, k, draws = _integer("n", n, 1), _integer("k", k, 2), _integer("draws", draws, 1)
     n_seeds, sample_seed = _integer("n_seeds", n_seeds, 1), _integer("sample_seed", sample_seed, 0)
     tolerance = _real("tolerance", tolerance, 0.0)

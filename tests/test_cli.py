@@ -61,6 +61,15 @@ class TestEstimate:
         assert code == 4
         assert "Monte Carlo" in err
 
+    def test_pseudo_sample_too_large_to_allocate_is_capacity_error(self, capsys, datafile):
+        # 2^45 draws (256 TiB) is beyond a 47-bit user address space, so no host maps it
+        path = datafile(",".join(str(i) for i in range(20)))
+        argv = ["estimate", "--input", path, "--k", "3", "--mode", "monte-carlo",
+                "--draws", str(2**45)]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 4
+        assert "too large to allocate" in err
+
     def test_unparseable_body_is_usage_error(self, capsys, datafile):
         path = datafile("1,2\nbogus line\n3,4\n")
         code, _, _ = run_cli(capsys, ["estimate", "--input", path, "--k", "2"])

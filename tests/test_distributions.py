@@ -1,6 +1,7 @@
 """Families, quantile averages, and congruence verdicts."""
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +101,42 @@ class TestDensities:
         h = 1e-7 * np.maximum(np.abs(x), 1.0)  # small enough for laplace's kink at 0
         slope = (family.cdf(x + h) - family.cdf(x - h)) / (2.0 * h)
         np.testing.assert_allclose(family.pdf(x), slope, rtol=1e-6)
+
+
+# every family, Weibull and Gamma with shape below, at and above 1
+EDGE_FAMILIES = [
+    Weibull(0.5), Weibull(1.0), Weibull(1.5), Pareto(3.0), LogNormal(0.0, 1.0),
+    Gamma(0.5), Gamma(1.0), Gamma(2.0), GeneralizedGaussian(0.0, 1.0, 0.5), normal(),
+    laplace(), Uniform(-1.0, 1.0),
+]
+
+# parameters at which a formula's terms leave the double range
+EXTREME_FAMILIES = [Weibull(3.0, 1e-3), Weibull(0.3, 1e3), Pareto(3.0, 1e200), Gamma(2.0, 1e300)]
+
+
+class TestEdges:
+    """pdf is 0 at +-inf, cdf 0 at -inf and 1 at inf, and no x makes a family warn."""
+
+    @pytest.mark.parametrize("family", EDGE_FAMILIES, ids=lambda f: f.label)
+    def test_limits_at_infinity_without_warnings(self, family):
+        x = np.array([-np.inf, -1.0, 0.0, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pdf, cdf = family.pdf(x), family.cdf(x)
+            assert (family.pdf(np.inf), family.cdf(-np.inf), family.cdf(np.inf)) == (0, 0, 1)
+        assert pdf[0] == pdf[-1] == 0.0 and cdf[0] == 0.0 and cdf[-1] == 1.0
+        assert np.isfinite(pdf).all() and (pdf >= 0).all()
+        assert ((cdf >= 0) & (cdf <= 1)).all()
+
+    @pytest.mark.parametrize("family", EDGE_FAMILIES + EXTREME_FAMILIES, ids=lambda f: f.label)
+    def test_no_real_x_warns_or_gives_nan(self, family):
+        x = np.array([-1.7e308, -1e300, 0.0, 5e-324, 1e-300, 1e-3, 1.0, 1e10, 1e300, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pdf, cdf = family.pdf(x), family.cdf(x)
+        assert not np.isnan(pdf).any() and (pdf >= 0).all()
+        assert ((cdf >= 0) & (cdf <= 1)).all()
+        assert pdf[-1] == 0.0 and cdf[-1] == 1.0 and cdf[0] == 0.0
 
 
 class TestMeans:

@@ -15,6 +15,7 @@ from hlmoments import (
     UnsupportedOrderError,
     boundary_kernel_value,
     central_moment_kernel,
+    hl_central_moment,
     kernel_support_bounds,
     kernel_values,
     signed_binomial_sums,
@@ -305,6 +306,35 @@ class TestTiles:
         finally:
             tracemalloc.stop()
         assert peak - out.nbytes <= 4 << 20
+
+
+class TestLocation:
+    """Each row is centred about its first value before its mean is taken, so the
+    rounding error scales with the tuple's spread wherever the tuple sits."""
+
+    @pytest.mark.parametrize("k", range(3, 13))
+    @pytest.mark.parametrize("shift", [1e6, 1e8])
+    def test_error_is_bounded_by_the_spread_at_any_location(self, k, shift):
+        # bound: 1e4 units of 2^-53 * mean|d|^k, about 6x the worst seen over
+        # 240 tuples per order; a tuple mean taken in one pass misses it by 1e5x
+        rng = np.random.default_rng(k)
+        for t in (rng.normal(size=k), rng.lognormal(0.0, 2.0, size=k),
+                  rng.integers(-3, 4, size=k).astype(float)):
+            x = np.sort(t + shift)
+            exact = psi_exact(x.tolist())
+            mean = sum(map(Fraction, x.tolist())) / k
+            spread = float(sum(abs(Fraction(v) - mean) ** k for v in x.tolist()) / k)
+            error = abs(Fraction(float(kernel_values(x[None, :], k)[0])) - exact)
+            assert float(error) <= 1e4 * 2.0**-53 * spread
+
+    @pytest.mark.parametrize("k", [3, 6, 12])
+    def test_constant_tuples_near_the_double_limit_are_zero(self, k):
+        assert central_moment_kernel([1.7e308] * k) == 0.0
+        assert hl_central_moment(np.full(14, 1.7e308), k).value == 0.0
+
+    def test_a_shifted_sample_gives_the_same_bits(self):
+        x = np.arange(10.0)
+        assert hl_central_moment(x + 1e8, 3).value == hl_central_moment(x, 3).value
 
 
 @settings(max_examples=60, deadline=None)

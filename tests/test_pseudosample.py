@@ -291,3 +291,23 @@ class TestMonteCarloBuild:
             MonteCarloPlan(draws=10, seed=-1)
         with pytest.raises(ArgumentError):
             ExactPlan(budget=0)
+
+
+class TestUnallocatable:
+    """A pseudo-sample too large to allocate is a capacity error naming its size.
+
+    Only sizes that no host can map are tried: 2^45 values or more (256 TiB,
+    beyond a 47-bit user address space) for the MemoryError route, and 2^61
+    or more (beyond numpy's largest array) for its ValueError route.
+    """
+
+    def test_exact_plan_beyond_the_address_space(self):
+        total = math.comb(200, 8)  # above 2^45
+        with pytest.raises(CapacityError, match=f"^a pseudo-sample of {total} values "
+                                                f"\\({8 * total} bytes\\) is too large"):
+            build_pseudosample(np.arange(200.0), 8, ExactPlan(budget=10**15))
+
+    @pytest.mark.parametrize("draws", [2**45, 2**61, 2**62])
+    def test_monte_carlo_plan_beyond_the_address_space(self, draws):
+        with pytest.raises(CapacityError, match=f"^a pseudo-sample of {draws} values"):
+            build_pseudosample(np.arange(20.0), 3, MonteCarloPlan(draws=draws))
