@@ -96,14 +96,15 @@ class Family:
         return self._at(self._pdf, x, 0.0)
 
     @staticmethod
-    def _at(f, x, at_inf: float) -> np.ndarray:
-        """The family's formula ``f`` at the finite entries of x, 0 at -inf and
-        ``at_inf`` at inf.  A term that overflows is inf, which the formulas take
+    def _at(f, x, at_inf: float):
+        """The family's formula ``f`` at the finite entries of x, 0 at -inf, ``at_inf``
+        at inf and NaN at NaN.  A term that overflows is inf, which the formulas take
         to their limit (a density or tail of 0), so its overflow is not a warning."""
         x = _reals("x", x, finite=False)
         with np.errstate(over="ignore"):
             out = f(np.where(np.isfinite(x), x, 0.0))
-        return np.where(x == np.inf, at_inf, np.where(x == -np.inf, 0.0, out))
+        out = np.select([x == np.inf, x == -np.inf, np.isnan(x)], [at_inf, 0.0, np.nan], out)
+        return float(out) if x.ndim == 0 else out
 
     def mean(self) -> float:
         """Closed-form mean; ``inf`` signals an infinite first moment."""
@@ -142,10 +143,10 @@ class Weibull(Family):
         return np.where(x <= 0, 0.0, out)
 
     def _pdf(self, x):
-        xp = np.where(x > 0, x, self.scale)  # the scale stands in where the density is 0
+        xp = np.where(x <= 0, self.scale, x)  # the scale stands in where the density is 0
         log_z = np.log(xp) - math.log(self.scale)
         out = np.exp((self.shape - 1.0) * log_z - np.exp(self.shape * log_z))
-        return np.where(x > 0, (self.shape / self.scale) * out, 0.0)
+        return np.where(x <= 0, 0.0, (self.shape / self.scale) * out)
 
     def mean(self) -> float:
         return self.scale * _special().gamma(1.0 + 1.0 / self.shape)
@@ -166,8 +167,7 @@ class Pareto(Family):
         return np.where(x < self.xm, 0.0, out)
 
     def _pdf(self, x):
-        xc = np.clip(x, self.xm, None)
-        out = self.shape / xc * (self.xm / xc) ** self.shape
+        out = self.shape * self.xm**self.shape / np.clip(x, self.xm, None) ** (self.shape + 1)
         return np.where(x < self.xm, 0.0, out)
 
     def mean(self) -> float:
@@ -217,10 +217,9 @@ class Gamma(Family):
         return _special().gammainc(self.shape, np.clip(x, 0, None) / self.scale)
 
     def _pdf(self, x):
-        xp = np.where(x > 0, x, self.scale)  # the scale stands in where the density is 0
-        log_z = np.log(xp) - math.log(self.scale)
-        logp = (self.shape - 1.0) * log_z - xp / self.scale - _special().gammaln(self.shape)
-        return np.where(x > 0, np.exp(logp - math.log(self.scale)), 0.0)
+        z = np.clip(x, np.finfo(float).tiny, None) / self.scale
+        logp = (self.shape - 1.0) * np.log(z) - z - _special().gammaln(self.shape) - np.log(self.scale)
+        return np.where(x <= 0, 0.0, np.exp(logp))
 
     def mean(self) -> float:
         return self.shape * self.scale

@@ -144,10 +144,8 @@ def _reals(name: str, values, ndim: int | None = None, *, finite: bool = True) -
 
 
 def _instance(name: str, value, types):
-    """``value`` if it is an instance of ``types``, a class or a tuple of classes; else an
-    ``ArgumentError`` with "a" or "an" as read aloud ("a TrimSpec", "an LEstimatorSpec")."""
+    """``value`` if it is an instance of ``types``, a class or a tuple of classes."""
     if isinstance(value, types):
         return value
     want = " or ".join(t.__name__ for t in (types if isinstance(types, tuple) else (types,)))
-    article = "an" if want[0] in "AEIOU" or want[1].isupper() and want[0] in "FHLMNRSX" else "a"
-    raise ArgumentError(f"{name} must be {article} {want}, got {value!r}")
+    raise ArgumentError(f"{name} must be of type {want}, got {value!r}")

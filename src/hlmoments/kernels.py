@@ -133,21 +133,16 @@ def _power_sum_kernel(x: np.ndarray, k: int) -> np.ndarray:
         for col in cols[2:]:
             mean += col - cols[0]
         mean /= k
-        sums = {}
+        sums = {r: np.zeros(mean.size) for r in orders}
         for col in cols:
-            if col is cols[0]:
-                d = -mean  # (x_0 - x_0) - mean
-            else:
-                d = col - cols[0]
-                d -= mean
+            d = col - cols[0]
+            d -= mean
             power = d * d
             for r in range(2, k + 1):
                 if r > 2:
                     power *= d
                 if r in sums:
                     sums[r] += power
-                elif r in orders:
-                    sums[r] = power.copy()
         tile = out[start:start + _TILE]
         for parts, coef in terms:
             term = sums[parts[0]] * float(coef)

@@ -112,7 +112,8 @@ class LEstimatorSpec:
 
 def retained_window(n: int, trim: TrimSpec) -> tuple[int, int]:
     """Half-open 0-based index window [lo, hi) retained after trimming."""
-    n, trim = _integer("n", n, 1), _instance("trim", trim, TrimSpec)
+    n = _integer("n", n, 1)
+    trim = _instance("trim", trim, TrimSpec)
     lo = math.ceil(_snap(n * trim.gamma * trim.eps0))
     hi = math.floor(_snap(n * (1.0 - trim.eps0)))
     if hi - lo < 1:
@@ -163,7 +164,8 @@ def apply_lestimator(
     spec: LEstimatorSpec, sorted_values, trim: TrimSpec = TrimSpec()
 ) -> float:
     """Apply the selected L-estimator to the trimmed window of sorted data."""
-    spec, arr = _instance("spec", spec, LEstimatorSpec), _reals("sorted_values", sorted_values, 1)
+    spec = _instance("spec", spec, LEstimatorSpec)
+    arr = _reals("sorted_values", sorted_values, 1)
     if arr.size == 0:
         raise ArgumentError("expected a non-empty sequence")
     if np.any(arr[1:] < arr[:-1]):  # np.diff would copy the whole sequence
