@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -303,6 +304,7 @@ def _add_plan_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache  # one build per process: parse_args leaves the parser as it was
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hlmoments",

@@ -329,9 +329,10 @@ class Gamma(Family):
         return _special().gammainc(self.shape, np.clip(x, 0, None) / self.scale)
 
     def _pdf(self, x):
-        z = np.clip(x, np.finfo(float).tiny, None) / self.scale
-        logp = (self.shape - 1.0) * np.log(z) - z - _special().gammaln(self.shape) - np.log(self.scale)
-        return np.where(x <= 0, 0.0, np.exp(logp))
+        xc, log_scale = np.clip(x, np.finfo(float).tiny, None), math.log(self.scale)
+        log_z = np.log(xc) - log_scale  # log(xc / scale) would take the log of 0 or inf
+        logp = (self.shape - 1.0) * log_z - xc / self.scale - _special().gammaln(self.shape)
+        return np.where(x <= 0, 0.0, np.exp(logp - log_scale))
 
     def mean(self) -> float:
         return self.shape * self.scale
@@ -458,20 +459,40 @@ def _qa_levels(eps, gamma) -> tuple[float, float]:
     return lo, 1.0 - eps
 
 
+def _qa(family: Family, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """QA and the larger |Q| at each checked level pair (lo, hi), from one quantile call."""
+    q = family._q(np.stack([lo, hi]))
+    return 0.5 * (q[0] + q[1]), np.abs(q).max(axis=0)
+
+
+def _qa_signs(family: Family, param: str, eps, gamma, h) -> np.ndarray:
+    """The signs ``qa_partial_sign`` gives, at each eps of an ascending sequence."""
+    family = _instance("family", family, Family)
+    if param not in family.param_names:
+        raise ArgumentError(f"{type(family).__name__} has no parameter {param!r}; "
+                            f"expected one of {family.param_names}")
+    for e in (eps[0], eps[-1]):  # the ends bound the levels of every eps between them
+        _qa_levels(e, gamma)
+    eps = np.asarray(eps, dtype=np.float64)
+    lo, hi = float(gamma) * eps, 1.0 - eps
+    theta = getattr(family, param)
+    h = max(1e-6, 1e-4 * abs(theta)) if h is None else _real("h", h, 0.0, open_low=True)
+    # both steps are taken before any quantile, so one leaving the domain raises first
+    fp, fm = [replace(family, **{param: theta + step}) for step in (h, -h)]
+    (qa_p, mag_p), (qa_m, mag_m) = (_qa(f, lo, hi) for f in (fp, fm))
+    est = (qa_p - qa_m) / (2.0 * h)
+    noise_floor = 8.0 * _EPS_MACH * np.maximum(mag_p, mag_m) / h
+    return np.where(np.abs(est) < np.maximum(_DEAD_BAND, noise_floor), 0, np.where(est > 0, 1, -1))
+
+
 def quantile_average(family: Family, eps: float, gamma: float) -> float:
     """QA(eps, gamma) = (Q(gamma*eps) + Q(1-eps)) / 2."""
     family = _instance("family", family, Family)
-    lo, hi = _qa_levels(eps, gamma)
-    return 0.5 * (family.quantile(lo) + family.quantile(hi))
+    return float(_qa(family, *_qa_levels(eps, gamma))[0])
 
 
-def qa_partial_sign(
-    family: Family,
-    param: str,
-    eps: float,
-    gamma: float,
-    h: float | None = None,
-) -> int:
+def qa_partial_sign(family: Family, param: str, eps: float, gamma: float,
+                    h: float | None = None) -> int:
     """Sign of dQA/dparam by central differences, with a noise dead band.
 
     Returns +1, -1, or 0.  Zero means the estimate is indistinguishable from
@@ -479,23 +500,7 @@ def qa_partial_sign(
     difference quotient (a few ulps of the quantile magnitudes divided by
     the step), and is treated as compatible with either sign.
     """
-    family = _instance("family", family, Family)
-    if param not in family.param_names:
-        raise ArgumentError(
-            f"{type(family).__name__} has no parameter {param!r}; "
-            f"expected one of {family.param_names}"
-        )
-    lo, hi = _qa_levels(eps, gamma)
-    theta = getattr(family, param)
-    h = max(1e-6, 1e-4 * abs(theta)) if h is None else _real("h", h, 0.0, open_low=True)
-    fp = replace(family, **{param: theta + h})
-    fm = replace(family, **{param: theta - h})
-    est = (quantile_average(fp, eps, gamma) - quantile_average(fm, eps, gamma)) / (2.0 * h)
-    qmag = max(abs(f.quantile(p)) for f in (fp, fm) for p in (lo, hi))
-    noise_floor = 8.0 * _EPS_MACH * qmag / h
-    if abs(est) < max(_DEAD_BAND, noise_floor):
-        return 0
-    return 1 if est > 0 else -1
+    return int(_qa_signs(family, param, (eps,), gamma, h)[0])
 
 
 def lognormal_qa_sigma_derivative(family: LogNormal, eps: float, gamma: float) -> float:
@@ -505,8 +510,7 @@ def lognormal_qa_sigma_derivative(family: LogNormal, eps: float, gamma: float) -
     average is the half-sum of the two weighted quantiles.
     """
     family = _instance("family", family, LogNormal)
-    lo, hi = _qa_levels(eps, gamma)
-    zlo, zhi = _special().ndtri(lo), _special().ndtri(hi)
+    zlo, zhi = _special().ndtri(_qa_levels(eps, gamma))
     return 0.5 * (
         zlo * math.exp(family.mu + family.sigma * zlo)
         + zhi * math.exp(family.mu + family.sigma * zhi)
@@ -543,20 +547,17 @@ def congruence_check(
     """
     grid_size = _integer("grid_size", grid_size, 8)
     gamma = _real("gamma", gamma, 0.0, open_low=True)
-    grid = np.geomspace(_CONGRUENCE_DELTA, 1.0 / (1.0 + gamma), grid_size)
-    signs = tuple(qa_partial_sign(family, param, float(e), gamma, h=h) for e in grid)
-    nonzero = [s for s in signs if s != 0]
-    if not nonzero or all(s == nonzero[0] for s in nonzero):
+    grid = np.geomspace(_CONGRUENCE_DELTA, 1.0 / (1.0 + gamma), grid_size).tolist()
+    signs = tuple(_qa_signs(family, param, grid, gamma, h).tolist())
+    if len(set(signs) - {0}) < 2:
         verdict = "congruent"
-    elif any(s == 0 for s in signs):
-        verdict = "inconclusive"
     else:
-        verdict = "non-congruent"
+        verdict = "inconclusive" if 0 in signs else "non-congruent"
     return CongruenceVerdict(
         family=family.label,
         param=param,
         gamma=gamma,
-        epsilons=tuple(float(e) for e in grid),
+        epsilons=tuple(grid),
         signs=signs,
         verdict=verdict,
     )

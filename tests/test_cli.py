@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hlmoments
 from hlmoments import TrimSpec, hl_standardized_moment
 from hlmoments.cli import _InputError, _read_reals, main
 
@@ -504,3 +508,50 @@ class TestOutputContracts:
         code, out, err = run_cli(capsys, [*argv[:1], *data, *argv[1:], "--chunk", "7"])
         assert (code, out) == (2, "")
         assert "error: unrecognized arguments: --chunk 7\n" in err
+
+
+class TestOneProcess:
+    """main builds its parser once per process; a call leaves nothing behind for the next."""
+
+    SEQUENCE = r"""
+import contextlib, io, json, sys
+from hlmoments.cli import main
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors and --help
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+    FRESH = "import sys; from hlmoments.cli import main; sys.exit(main(sys.argv[1:]))"
+
+    def test_calls_in_one_process_match_fresh_processes(self, datafile):
+        path = datafile("0.3\n-1.2\n2.5\n0.9\n1.7\n-0.4\n3.1\n")
+        calls = [
+            ["estimate", "--input", path, "--k", "3", "--eps0", "0.2", "--mode", "monte-carlo",
+             "--draws", "500", "--plan-seed", "3", "--format", "csv"],
+            ["estimate", "--input", path, "--k", "3"],  # every default back after the call above
+            ["tsd", "--input", path],
+            ["congruence", "--family", "weibull(1,1)", "--param", "shape", "--grid-size", "8"],
+            ["estimate", "--input", path, "--k", "1"],  # a usage error: exit 2 and its message
+            ["congruence", "--help"],
+        ]
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hlmoments.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+        run = dict(env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        fresh = [subprocess.Popen([sys.executable, "-c", self.FRESH, *argv], **run)
+                 for argv in calls]
+        one = subprocess.run([sys.executable, "-c", self.SEQUENCE, json.dumps(calls)],
+                             check=True, timeout=120, **run)
+        want = []
+        for proc in fresh:
+            out, err = proc.communicate(timeout=120)
+            want.append([proc.returncode, out, err])
+        got = json.loads(one.stdout)
+        assert [code for code, _, _ in want] == [0, 0, 0, 0, 2, 0]
+        assert got == want

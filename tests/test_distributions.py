@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ from hlmoments import (
     qa_partial_sign,
     quantile_average,
 )
-from hlmoments.distributions import _gammaincinv
+from hlmoments.distributions import _CONGRUENCE_DELTA, _DEAD_BAND, _EPS_MACH, _gammaincinv
 
 ALL_FAMILIES = [
     Weibull(1.0, 1.0),
@@ -186,12 +186,12 @@ class TestDensities:
         np.testing.assert_allclose(family.pdf(x), slope, rtol=1e-6)
 
 
-# every family, Weibull and Gamma with shape below, at and above 1, and a Pareto
-# whose minimum^shape overflows a double
+# every family, Weibull and Gamma with shape below, at and above 1, a Pareto whose
+# minimum^shape overflows a double, and Gamma scales whose x / scale under- or overflows
 EDGE_FAMILIES = [
     Weibull(0.5), Weibull(1.0), Weibull(1.5), Pareto(3.0), Pareto(3.0, 1e200), LogNormal(0.0, 1.0),
-    Gamma(0.5), Gamma(1.0), Gamma(2.0), GeneralizedGaussian(0.0, 1.0, 0.5), normal(),
-    laplace(), Uniform(-1.0, 1.0),
+    Gamma(0.5), Gamma(1.0), Gamma(2.0), Gamma(2.0, 1e300), Gamma(2.0, 1e-300),
+    GeneralizedGaussian(0.0, 1.0, 0.5), normal(), laplace(), Uniform(-1.0, 1.0),
 ]
 
 
@@ -370,6 +370,18 @@ class TestPartialSigns:
                     assert abs(analytic) < 1e-8
 
 
+@dataclass(frozen=True)
+class Stepped(Family):
+    """Q(p) = Phi^-1(p) + theta * s(min(p, 1 - p)) / 2, so at gamma = 1
+    dQA/dtheta = s(eps): +1 below 0.01, 0 below 0.1, -1 above."""
+
+    theta: float = 1.0
+
+    def _q(self, p):
+        e = np.minimum(p, 1.0 - p)
+        return ndtri(p) + self.theta * np.where(e < 0.01, 0.5, np.where(e < 0.1, 0.0, -0.5))
+
+
 class TestCongruence:
     def test_weibull_shape_non_congruent(self):
         v = congruence_check(Weibull(1.0, 1.0), "shape", gamma=1.0)
@@ -436,17 +448,6 @@ class TestCongruence:
                     assert s_base == s_small
 
     def test_signs_split_by_a_dead_band_are_inconclusive(self):
-        @dataclass(frozen=True)
-        class Stepped(Family):
-            """Q(p) = Phi^-1(p) + theta * s(min(p, 1 - p)) / 2, so at gamma = 1
-            dQA/dtheta = s(eps): +1 below 0.01, 0 below 0.1, -1 above."""
-
-            theta: float = 1.0
-
-            def _q(self, p):
-                e = np.minimum(p, 1.0 - p)
-                return ndtri(p) + self.theta * np.where(e < 0.01, 0.5, np.where(e < 0.1, 0.0, -0.5))
-
         v = congruence_check(Stepped(), "theta", gamma=1.0)
         assert set(v.signs) == {1, 0, -1}
         assert v.verdict == "inconclusive"
@@ -459,6 +460,144 @@ class TestCongruence:
     def test_round_trip_dict(self):
         v = congruence_check(Pareto(2.0, 1.0), "shape", gamma=1.0, grid_size=16)
         assert CongruenceVerdict.from_dict(v.to_dict()) == v
+
+
+def reference_quantile_average(family, eps, gamma):
+    """QA from two scalar quantile calls, as the per-eps scan took it."""
+    return 0.5 * (family.quantile(gamma * eps) + family.quantile(1.0 - eps))
+
+
+def reference_sign(family, param, eps, gamma, h=None):
+    """The per-eps sign of dQA/dparam from scalar quantile calls, the reference the array
+    scan is held to: two perturbed families per eps and four scalar quantiles, which give
+    the estimate and the noise floor (the per-eps loop took the same four twice)."""
+    theta = getattr(family, param)
+    h = max(1e-6, 1e-4 * abs(theta)) if h is None else h
+    fp = replace(family, **{param: theta + h})
+    fm = replace(family, **{param: theta - h})
+    (plo, phi), (mlo, mhi) = ([f.quantile(p) for p in (gamma * eps, 1.0 - eps)] for f in (fp, fm))
+    est = (0.5 * (plo + phi) - 0.5 * (mlo + mhi)) / (2.0 * h)
+    qmag = max(abs(plo), abs(phi), abs(mlo), abs(mhi))
+    noise_floor = 8.0 * _EPS_MACH * qmag / h
+    if abs(est) < max(_DEAD_BAND, noise_floor):
+        return 0
+    return 1 if est > 0 else -1
+
+
+def reference_scan(family, param, gamma=1.0, grid_size=64, h=None):
+    """(signs, verdict) of a scan that calls reference_sign once per eps."""
+    grid = np.geomspace(_CONGRUENCE_DELTA, 1.0 / (1.0 + gamma), grid_size)
+    signs = tuple(reference_sign(family, param, float(e), gamma, h) for e in grid)
+    nonzero = [s for s in signs if s != 0]
+    if not nonzero or all(s == nonzero[0] for s in nonzero):
+        return signs, "congruent"
+    if any(s == 0 for s in signs):
+        return signs, "inconclusive"
+    return signs, "non-congruent"
+
+
+# (family, param, gamma, h, grid_size): criterion 9's six cases, every TestCongruence
+# case and the cases of demos/04_congruence_scan.py
+SCAN_CASES = [
+    (Weibull(1.0, 1.0), "shape", 1.0, None, 64),
+    (Pareto(2.0, 1.0), "shape", 1.0, None, 64),
+    (LogNormal(0.0, 1.0), "sigma", 1.0, None, 64),
+    (LogNormal(0.0, 1.0), "sigma", 0.5, None, 64),
+    (normal(0.0, 1.0), "sigma", 1.0, None, 64),
+    (laplace(0.0, 1.0), "sigma", 1.0, None, 64),
+    (Gamma(2.0, 1.0), "shape", 1.0, None, 64),
+    (Weibull(1.0, 1.0), "shape", 1.0, 1e-5, 64),
+    (Pareto(2.0, 1.0), "shape", 1.0, 2e-5, 64),
+    (LogNormal(0.0, 1.0), "sigma", 1.0, 1e-5, 64),
+    (Stepped(), "theta", 1.0, None, 64),
+    (Pareto(2.0, 1.0), "shape", 1.0, None, 16),
+    (Weibull(1.0, 1.0), "scale", 1.0, None, 64),
+    (normal(0.0, 1.0), "mu", 1.0, None, 64),
+    # far from 0 the rounding noise floor, not the fixed dead band, sets the zeros
+    (normal(1000.0, 1.0), "sigma", 1.0, None, 64),
+    (laplace(-1000.0, 1.0), "sigma", 1.0, None, 64),
+]
+
+
+def _random_family(rng, kind):
+    u = rng.uniform
+    if kind == "weibull":
+        return Weibull(u(0.3, 5.0), u(0.1, 10.0))
+    if kind == "pareto":
+        return Pareto(u(0.5, 5.0), u(0.1, 10.0))
+    if kind == "lognormal":
+        return LogNormal(u(-2.0, 2.0), u(0.1, 2.0))
+    if kind == "gamma":
+        return Gamma(u(0.3, 10.0), u(0.1, 10.0))
+    if kind == "gengauss":
+        return GeneralizedGaussian(u(-1e3, 1e3), u(0.2, 5.0), u(0.5, 4.0))
+    a = u(-1e3, 0.0)
+    return Uniform(a, a + u(0.1, 5.0))
+
+
+class TestArrayScan:
+    """The scan takes each perturbed family's quantiles once, on the whole eps grid; its
+    signs and verdicts are those of the per-eps loop over scalar quantile calls."""
+
+    @pytest.mark.parametrize("family, param, gamma, h, grid_size", SCAN_CASES,
+                             ids=lambda v: getattr(v, "label", repr(v)))
+    def test_fixed_cases_match_the_per_eps_loop(self, family, param, gamma, h, grid_size):
+        v = congruence_check(family, param, gamma=gamma, grid_size=grid_size, h=h)
+        assert (v.signs, v.verdict) == reference_scan(family, param, gamma, grid_size, h)
+        assert v.signs == tuple(qa_partial_sign(family, param, e, gamma, h) for e in v.epsilons)
+
+    def test_seeded_sweep_matches_the_per_eps_loop(self):
+        rng = np.random.default_rng(20240521)
+        kinds = ("weibull", "pareto", "lognormal", "gamma", "gengauss", "uniform")
+        scans, mismatches = 0, []
+        for _ in range(16):
+            for kind in kinds:
+                family = _random_family(rng, kind)
+                for param in family.param_names:
+                    gamma, grid_size = float(rng.uniform(0.2, 2.0)), int(rng.integers(8, 65))
+                    v = congruence_check(family, param, gamma=gamma, grid_size=grid_size)
+                    if (v.signs, v.verdict) != reference_scan(family, param, gamma, grid_size):
+                        mismatches.append((family.label, param, gamma, grid_size))
+                    scans += 1
+        assert scans >= 200 and not mismatches
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.label)
+    def test_quantile_average_matches_the_scalar_calls(self, family):
+        for eps, gamma in ((1e-4, 1.0), (0.1, 0.5), (0.3, 2.0), (0.49, 1.0)):
+            got = quantile_average(family, eps, gamma)
+            want = reference_quantile_average(family, eps, gamma)
+            assert type(got) is float
+            if isinstance(family, (Weibull, Pareto)):  # numpy's scalar power rounds apart
+                assert got == pytest.approx(want, rel=4 * _EPS_MACH)
+            else:
+                assert got == want
+
+    def test_one_quantile_call_per_perturbed_family(self):
+        calls = {"_q": 0, "built": 0}
+
+        @dataclass(frozen=True)
+        class Counted(Family):
+            _ANY_SIGN = ("mu",)
+
+            mu: float = 0.0
+
+            def __post_init__(self):
+                super().__post_init__()
+                calls["built"] += 1
+
+            def _q(self, p):
+                calls["_q"] += 1
+                return self.mu + ndtri(p)
+
+        def count(run):
+            family = Counted()
+            calls.update(_q=0, built=0)
+            run(family)
+            return calls["_q"], calls["built"]
+
+        assert count(lambda f: congruence_check(f, "mu")) == (2, 2)
+        assert count(lambda f: quantile_average(f, 0.1, 1.0)) == (1, 0)
+        assert count(lambda f: qa_partial_sign(f, "mu", 0.1, 1.0)) == (2, 2)
 
 
 class TestParseFamily:
