@@ -301,14 +301,16 @@ class LogNormal(Family):
         return np.exp(self.mu + self.sigma * _special().ndtri(p))
 
     def _cdf(self, x):
-        z = (np.log(np.clip(x, np.finfo(float).tiny, None)) - self.mu) / self.sigma
+        z = (np.log(np.where(x <= 0, 1.0, x)) - self.mu) / self.sigma  # 1 stands in for x <= 0
         out = _special().ndtr(z)
         return np.where(x <= 0, 0.0, out)
 
     def _pdf(self, x):
-        xc = np.clip(x, np.finfo(float).tiny, None)
-        z = (np.log(xc) - self.mu) / self.sigma
-        out = np.exp(-0.5 * z * z) / (xc * self.sigma * math.sqrt(2.0 * math.pi))
+        xp = np.where(x <= 0, 1.0, x)
+        z = (np.log(xp) - self.mu) / self.sigma
+        sub = xp < np.finfo(float).tiny  # there e^(-z^2/2) may underflow and x * sigma lose
+        out = np.exp(np.where(sub, -np.log(xp), 0.0) - 0.5 * z * z)  # bits: 1/x joins the exponent
+        out /= np.where(sub, 1.0, xp) * self.sigma * math.sqrt(2.0 * math.pi)
         return np.where(x <= 0, 0.0, out)
 
     def mean(self) -> float:
@@ -329,9 +331,9 @@ class Gamma(Family):
         return _special().gammainc(self.shape, np.clip(x, 0, None) / self.scale)
 
     def _pdf(self, x):
-        xc, log_scale = np.clip(x, np.finfo(float).tiny, None), math.log(self.scale)
-        log_z = np.log(xc) - log_scale  # log(xc / scale) would take the log of 0 or inf
-        logp = (self.shape - 1.0) * log_z - xc / self.scale - _special().gammaln(self.shape)
+        xp, log_scale = np.where(x <= 0, self.scale, x), math.log(self.scale)
+        log_z = np.log(xp) - log_scale  # log(xp / scale) would take the log of 0 or inf
+        logp = (self.shape - 1.0) * log_z - xp / self.scale - _special().gammaln(self.shape)
         return np.where(x <= 0, 0.0, np.exp(logp - log_scale))
 
     def mean(self) -> float:
@@ -547,6 +549,9 @@ def congruence_check(
     """
     grid_size = _integer("grid_size", grid_size, 8)
     gamma = _real("gamma", gamma, 0.0, open_low=True)
+    if 1.0 / (1.0 + gamma) == 1.0:
+        raise ArgumentError(
+            f"gamma={gamma} is too small: the eps grid's end 1/(1 + gamma) rounds to 1")
     grid = np.geomspace(_CONGRUENCE_DELTA, 1.0 / (1.0 + gamma), grid_size).tolist()
     signs = tuple(_qa_signs(family, param, grid, gamma, h).tolist())
     if len(set(signs) - {0}) < 2:

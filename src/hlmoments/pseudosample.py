@@ -5,7 +5,8 @@ every gathered row is ascending already.  Exact mode gathers all C(n, k)
 combinations in colexicographic blocks through data-independent index tables
 cached for the process (4 776 450 bytes at worst).  Monte Carlo mode draws
 combinations uniformly with replacement, one RNG substream per block of 2^18
-draws, so the result depends only on (sample, draws, seed).
+draws, so the result depends only on (sample, draws, seed); a block is held
+as k rows of 4-byte indices and gathered 2^15 draws at a time.
 
 The returned pseudo-sample is sorted ascending with -0.0 normalized to +0.0,
 making it bit-reproducible.
@@ -47,9 +48,12 @@ DEFAULT_BUDGET = 50_000_000
 # bit of the result, so no plan carries it.
 _CHUNK = 1 << 18
 
-# Draws per Monte Carlo RNG substream, gathered and evaluated at once.  It
+# Draws per Monte Carlo RNG substream, held as k rows of 4-byte indices.  It
 # defines the stream, so it is fixed: changing it changes every Monte Carlo result.
 _MC_BLOCK = 1 << 18
+
+# Drawn columns selected, gathered and evaluated at once; it changes no bit.
+_MC_TILE = 1 << 15
 
 _COLEX: dict[int, np.ndarray] = {}  # level q -> the table _colex(q, m) returns a prefix of
 
@@ -81,9 +85,10 @@ class ExactPlan:
 class MonteCarloPlan:
     """Draw ``draws`` combinations uniformly with replacement, seeded.
 
-    Gathers one block of 2^18 draws at once: beyond the ``draws`` output
-    values it takes O(2^18 * k) memory, and the kernel's own temporaries
-    are bounded by its fixed row tile.
+    Holds one block of 2^18 draws at once as k rows of 4-byte indices, and
+    gathers 2^15 of them at a time: beyond the ``draws`` output values it
+    takes 4 * k * 2^18 index bytes plus O(2^15 * k) gathered values, and
+    the kernel's own temporaries are bounded by its fixed row tile.
     """
 
     draws: int
@@ -116,30 +121,36 @@ def _sample_index_combinations(
 
     Sequential selection: the j-th index is uniform over the n-j values not
     yet chosen in its row, mapped past the chosen ones (kept ascending) and
-    inserted among them.
+    inserted among them.  The k rows are drawn first, in the stream's order,
+    as 4-byte ints below n = 2^31, then selected one _MC_TILE at a time.
     """
-    sel = np.empty((k, m), dtype=np.int64)  # one contiguous row per position
+    sel = np.empty((k, m), dtype=np.int32 if n < 2**31 else np.int64)  # a row per position
     for j in range(k):
-        v = rng.integers(0, n - j, size=m)
-        for t in range(j):
-            v += v >= sel[t]
-        for t in range(j):
-            low = np.minimum(sel[t], v)
-            np.maximum(sel[t], v, out=v)
-            sel[t] = low
-        sel[j] = v
+        sel[j] = rng.integers(0, n - j, size=m, dtype=sel.dtype)
+    for a in range(0, m, _MC_TILE):
+        tile = sel[:, a:a + _MC_TILE]
+        for j in range(1, k):
+            v = tile[j]
+            for t in range(j):
+                v += v >= tile[t]
+            for t in range(j):
+                low = np.minimum(tile[t], v)
+                np.maximum(tile[t], v, out=v)
+                tile[t] = low
     return sel.T
 
 
 def _monte_carlo_rows(x: np.ndarray, k: int, plan: MonteCarloPlan):
-    """Yield the plan's drawn rows of x, one block of _MC_BLOCK draws at a time.
+    """Yield the plan's drawn rows of x, _MC_TILE at a time.
 
-    Block b comes from its own substream keyed by (seed, b), so the stream
-    is fixed by (n, k, plan.draws, plan.seed) alone.
+    Block b of _MC_BLOCK draws comes from its own substream keyed by
+    (seed, b), so the stream is fixed by (n, k, plan.draws, plan.seed) alone.
     """
     for block, start in enumerate(range(0, plan.draws, _MC_BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(block,)))
-        yield x[_sample_index_combinations(rng, x.size, k, min(_MC_BLOCK, plan.draws - start))]
+        sel = _sample_index_combinations(rng, x.size, k, min(_MC_BLOCK, plan.draws - start))
+        for a in range(0, sel.shape[0], _MC_TILE):
+            yield x[sel[a:a + _MC_TILE]]
 
 
 def _colex(q: int, m: int) -> np.ndarray:

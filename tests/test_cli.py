@@ -294,6 +294,13 @@ class TestCongruence:
         )
         assert code == 2
 
+    def test_gamma_whose_grid_end_rounds_to_one_is_a_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, ["congruence", "--family", "weibull(1,1)",
+                                          "--param", "shape", "--gamma", "1e-17"])
+        assert (code, out) == (3, "")
+        assert err == ("error: gamma=1e-17 is too small: "
+                       "the eps grid's end 1/(1 + gamma) rounds to 1\n")
+
 
 class TestVerify:
     def test_equivariance_passes(self, capsys):

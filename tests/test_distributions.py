@@ -187,9 +187,11 @@ class TestDensities:
 
 
 # every family, Weibull and Gamma with shape below, at and above 1, a Pareto whose
-# minimum^shape overflows a double, and Gamma scales whose x / scale under- or overflows
+# minimum^shape overflows a double, Gamma scales whose x / scale under- or overflows,
+# and a lognormal whose bulk lies among the subnormals
 EDGE_FAMILIES = [
     Weibull(0.5), Weibull(1.0), Weibull(1.5), Pareto(3.0), Pareto(3.0, 1e200), LogNormal(0.0, 1.0),
+    LogNormal(-700.0, 1.0),
     Gamma(0.5), Gamma(1.0), Gamma(2.0), Gamma(2.0, 1e300), Gamma(2.0, 1e-300),
     GeneralizedGaussian(0.0, 1.0, 0.5), normal(), laplace(), Uniform(-1.0, 1.0),
 ]
@@ -225,10 +227,35 @@ class TestEdges:
         assert type(family.cdf(0.5)) is float and type(family.pdf(np.inf)) is float
 
 
+# (family, method, x, value): mpmath at 120 bits; each x is subnormal, which the
+# formulas take as it is, not as the smallest normal double 2.2e-308
+SUBNORMAL_CASES = [
+    (Gamma(2.0, 1e-300), "pdf", 5e-324, 4.9406564584124651941e276),
+    (Gamma(2.0, 1e-300), "pdf", 1e-310, 9.9999999989999689482e289),
+    (Gamma(2.0, 1e-300), "cdf", 5e-324, 1.2205043120026402319e-47),
+    (Gamma(2.0), "pdf", 5e-324, 5e-324),
+    (Gamma(0.5), "pdf", 5e-324, 2.5382403001605819581e161),
+    (LogNormal(-700.0, 1.0), "pdf", 1e-310, 1.7343047167124540692e268),
+    (LogNormal(-700.0, 1.0), "pdf", 5e-324, 1.1447165557252270405e-106),
+    (LogNormal(-700.0, 1.0), "cdf", 1e-310, 1.2501210915703304823e-43),
+]
+
+
+@pytest.mark.parametrize("family, method, x, want", SUBNORMAL_CASES,
+                         ids=lambda v: getattr(v, "label", repr(v)))
+def test_subnormal_x_is_not_taken_as_the_smallest_normal(family, method, x, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = getattr(family, method)([x, -x, 0.0, -0.0])
+    assert got[0] == pytest.approx(want, rel=1e-11, abs=0)  # z^2/2 near 1000 spreads log x's ulp
+    assert got[1:].tolist() == [0.0, 0.0, 0.0]  # x <= 0 stays 0
+
+
 def test_pareto_density_where_the_minimum_to_the_shape_overflows():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert Pareto(3.0, 1e200).pdf([2e200])[0] == pytest.approx(1.5e-200 * 0.125, rel=1e-15)
+        got = Pareto(3.0, 1e200).pdf([2e200])[0]
+    assert got == pytest.approx(1.5e-200 * 0.125, rel=1e-15, abs=0)  # approx's abs=1e-12 passes 0
 
 
 class TestMeans:
@@ -382,6 +409,30 @@ class Stepped(Family):
         return ndtri(p) + self.theta * np.where(e < 0.01, 0.5, np.where(e < 0.1, 0.0, -0.5))
 
 
+@dataclass(frozen=True)
+class Floored(Family):
+    """Q(p) = low * theta^power below 1/2 and high * theta^power + slope * theta from 1/2
+    on.  Where low = -high or power = 0, dQA/dtheta is slope / 2 up to rounding, while
+    low, high and power set each |Q| and so the noise floor."""
+
+    _ANY_SIGN = ("theta", "low", "high", "power", "slope")
+
+    theta: float = 1.0
+    low: float = -1e6
+    high: float = 1.0
+    power: float = 0.0
+    slope: float = 1.0
+
+    def _q(self, p):
+        lead = self.theta**self.power
+        return np.where(p < 0.5, self.low * lead, self.high * lead + self.slope * self.theta)
+
+
+def floor_at(lead, h):
+    """The rounding-noise floor of a scan whose largest |Q| is ``lead``, with step h."""
+    return 8.0 * _EPS_MACH * lead / h
+
+
 class TestCongruence:
     def test_weibull_shape_non_congruent(self):
         v = congruence_check(Weibull(1.0, 1.0), "shape", gamma=1.0)
@@ -452,6 +503,14 @@ class TestCongruence:
         assert set(v.signs) == {1, 0, -1}
         assert v.verdict == "inconclusive"
         assert v.family == "stepped(theta=1)"
+
+    @pytest.mark.parametrize("gamma", [1e-17, 5e-324])
+    def test_gamma_whose_grid_end_rounds_to_one_is_named(self, gamma):
+        # below about 1.1e-16, 1/(1 + gamma) is 1.0: no eps grid ends short of 1
+        with pytest.raises(ArgumentError, match=f"^gamma={gamma} is too small: the eps grid's "
+                                                r"end 1/\(1 \+ gamma\) rounds to 1$"):
+            congruence_check(Weibull(1.0, 1.0), "shape", gamma=gamma)
+        assert congruence_check(Pareto(2.0, 1.0), "shape", gamma=1e-15).epsilons[-1] < 1.0
 
     def test_grid_size_validation(self):
         with pytest.raises(ArgumentError):
@@ -560,6 +619,24 @@ class TestArrayScan:
                         mismatches.append((family.label, param, gamma, grid_size))
                     scans += 1
         assert scans >= 200 and not mismatches
+
+    @pytest.mark.parametrize("family, h", [
+        # |Q(gamma eps)| = 1e6 against |Q(1 - eps)| near 1: the floor is set by the
+        # lower level's quantile, and an estimate of 3/4 of it is a zero sign
+        (Floored(slope=1.5 * floor_at(1e6, 1e-4)), 1e-4),
+        # |Q| is 2.25e6 for theta + h and 0.25e6 for theta - h: the floor is set by
+        # the larger, and an estimate of 0.6 of it is a zero sign
+        (Floored(low=-1e6, high=1e6, power=2.0, slope=1.2 * floor_at(2.25e6, 0.5)), 0.5),
+    ], ids=["lower-level", "larger-family"])
+    def test_noise_floor_is_eight_ulps_of_the_largest_quantile(self, family, h):
+        # twice the slope puts the estimate above the floor, so the floor sits between
+        for slope, want in ((family.slope, 0), (2.0 * family.slope, 1)):
+            f = replace(family, slope=slope)
+            for eps in (1e-4, 0.01, 0.1, 0.3):
+                assert qa_partial_sign(f, "theta", eps, 1.0, h) == want
+                assert reference_sign(f, "theta", eps, 1.0, h) == want
+            v = congruence_check(f, "theta", grid_size=8, h=h)
+            assert v.signs == reference_scan(f, "theta", 1.0, 8, h)[0]
 
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.label)
     def test_quantile_average_matches_the_scalar_calls(self, family):

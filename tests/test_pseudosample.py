@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hlmoments import (
     ArgumentError,
@@ -20,13 +22,43 @@ from hlmoments import (
 )
 from hlmoments import pseudosample
 from hlmoments.kernels import _TILE
-from hlmoments.pseudosample import _CHUNK, _exact_rows, _monte_carlo_rows
+from hlmoments.pseudosample import (
+    _CHUNK,
+    _MC_BLOCK,
+    _MC_TILE,
+    _exact_rows,
+    _monte_carlo_rows,
+    _sample_index_combinations,
+)
 
 
 def exact_rows(x, k, chunk):
     """The blocks of rows of the sorted x that ``_exact_rows`` yields with gather
     size ``chunk``, each copied out of the one buffer they all share."""
     return [rows.copy() for rows in _exact_rows(np.sort(x), k, chunk)]
+
+
+def drawn_blocks(x, k, plan):
+    """The plan's drawn rows of the sorted x, one array per block of _MC_BLOCK
+    draws, joined from the tiles ``_monte_carlo_rows`` yields."""
+    rows = np.vstack(list(_monte_carlo_rows(np.sort(x), k, plan)))
+    return np.split(rows, range(_MC_BLOCK, plan.draws, _MC_BLOCK))
+
+
+def block_sampler(rng, n, k, m):
+    """``_sample_index_combinations`` before it was tiled: 8-byte indices, each
+    row drawn just before its skip-and-insert pass over the whole block."""
+    sel = np.empty((k, m), dtype=np.int64)
+    for j in range(k):
+        v = rng.integers(0, n - j, size=m)
+        for t in range(j):
+            v += v >= sel[t]
+        for t in range(j):
+            low = np.minimum(sel[t], v)
+            np.maximum(sel[t], v, out=v)
+            sel[t] = low
+        sel[j] = v
+    return sel.T
 
 
 def pseudosample_of(blocks, k):
@@ -205,7 +237,7 @@ class TestKernelTiles:
             if isinstance(plan, ExactPlan):
                 blocks = exact_rows(x, k, chunk)
             else:
-                (drawn,) = _monte_carlo_rows(np.sort(x), k, plan)  # one block of draws
+                (drawn,) = drawn_blocks(x, k, plan)  # one block of draws
                 blocks = [drawn[a:a + chunk] for a in range(0, plan.draws, chunk)]
             assert pseudosample_of(blocks, k).tobytes() == want.tobytes(), chunk
 
@@ -221,13 +253,31 @@ class TestMonteCarloBuild:
 
     def test_blocks_are_substreams_of_the_seed(self):
         # 600k draws span three blocks, the last one partial; block b is drawn
-        # from (seed, b) alone, so it does not depend on the total draw count
+        # from (seed, b) alone, so it does not depend on the total draw count.
+        # Tiles never cross a block, so the last block ends in a partial tile
         x = np.sort(np.random.default_rng(6).normal(size=25))
-        blocks = list(_monte_carlo_rows(x, 3, MonteCarloPlan(draws=600_000, seed=7)))
+        plan = MonteCarloPlan(draws=600_000, seed=7)
+        tiles = [rows.shape[0] for rows in _monte_carlo_rows(x, 3, plan)]
+        assert tiles == [_MC_TILE] * 18 + [600_000 - (1 << 19) - 2 * _MC_TILE]
+        blocks = drawn_blocks(x, 3, plan)
         assert [rows.shape[0] for rows in blocks] == [1 << 18, 1 << 18, 600_000 - (1 << 19)]
-        (first,) = _monte_carlo_rows(x, 3, MonteCarloPlan(draws=1 << 18, seed=7))
+        (first,) = drawn_blocks(x, 3, MonteCarloPlan(draws=1 << 18, seed=7))
         assert np.array_equal(blocks[0], first)
         assert not np.array_equal(blocks[0], blocks[1])
+
+    def test_working_memory_is_bounded_by_the_tile(self):
+        # beyond the output and the sorted sample, a block of draws holds its
+        # k rows of 4-byte indices and gathers one tile of rows at a time
+        x = np.random.default_rng(31).normal(size=100_000)
+        k = 4
+        build_pseudosample(x[:50], k, MonteCarloPlan(1000))  # warm caches
+        tracemalloc.start()
+        try:
+            out = build_pseudosample(x, k, MonteCarloPlan(1 << 18))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes - x.nbytes <= 4 * k * _MC_BLOCK + 4 * _MC_TILE * k * 8
 
     def test_different_seeds_differ(self):
         x = np.random.default_rng(5).normal(size=25)
@@ -249,8 +299,6 @@ class TestMonteCarloBuild:
 
     def test_index_sampler_uniformity(self):
         # every pair of a 5-point sample appears with roughly equal frequency
-        from hlmoments.pseudosample import _sample_index_combinations
-
         rng = np.random.default_rng(42)
         sel = _sample_index_combinations(rng, 5, 2, 100_000)
         assert np.all(sel[:, 0] < sel[:, 1])
@@ -263,8 +311,6 @@ class TestMonteCarloBuild:
         [(5, 2, 1000, 0), (13, 12, 4000, 1), (40, 3, 5000, 2), (100_000, 4, 20_000, 3), (9, 9, 50, 4)],
     )
     def test_index_sampler_matches_reference_algorithm(self, n, k, m, seed):
-        from hlmoments.pseudosample import _sample_index_combinations
-
         def reference(rng, n, k, m):
             # the sampler as first written: re-sort the chosen prefix for
             # every column and sort every row at the end
@@ -283,6 +329,30 @@ class TestMonteCarloBuild:
         want = reference(np.random.default_rng(seed), n, k, m)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.integers(2, 12), n=st.integers(2, 10**5),
+           m=st.sampled_from([1, _MC_TILE - 1, _MC_TILE + 1, 2 * _MC_TILE + 1, _MC_BLOCK]),
+           seed=st.integers(0, 2**32))
+    @example(k=12, n=12, m=_MC_BLOCK, seed=0)
+    @example(k=12, n=10**5, m=_MC_BLOCK, seed=1)
+    @example(k=2, n=2, m=2 * _MC_TILE + 1, seed=2)
+    def test_tiled_sampler_matches_the_block_sampler(self, k, n, m, seed):
+        n = max(n, k)
+        got = _sample_index_combinations(np.random.default_rng(seed), n, k, m)
+        want = block_sampler(np.random.default_rng(seed), n, k, m)
+        assert got.dtype == np.int32 and got.shape == (m, k)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n, dtype", [(2**31 - 1, np.int32), (2**31, np.int64),
+                                          (2**31 + 5, np.int64)])
+    def test_indices_widen_to_8_bytes_from_n_2_31(self, n, dtype):
+        # rng.integers allocates nothing of size n, so n itself may be huge
+        for k in (2, 5, 12):
+            got = _sample_index_combinations(np.random.default_rng(k), n, k, _MC_TILE + 1)
+            want = block_sampler(np.random.default_rng(k), n, k, _MC_TILE + 1)
+            assert got.dtype == dtype
+            assert np.array_equal(got, want)
 
     def test_plan_validation(self):
         with pytest.raises(ArgumentError):
