@@ -14,24 +14,26 @@ qualify; shape-scale families can fail (the Weibull shape is the canonical
 counterexample: its mean and median move in opposite directions as the
 shape drops below 1).
 
-``scipy.special`` supplies the special functions of the Weibull, lognormal,
-gamma and generalized Gaussian families.  ``_special`` imports it on first
-use, so only the family methods (sample, quantile, cdf, pdf, mean) and what
-calls them (the congruence analyzer, the verify probes that draw from a
-family) load scipy; importing the package or estimating from given data does
-not.
+The Weibull, Pareto, uniform, gamma and generalized Gaussian (so normal and
+Laplace) families run on numpy alone.  ``_pq`` gives the regularized
+incomplete gamma ratios P(a, x) and Q(a, x) = 1 - P: P's all-positive series
+below x = a + 1, Legendre's continued fraction for Q above it (evaluated bottom
+up from a depth fixed per shape), and their prefactor x^a e^-x / Gamma(a),
+with x^a by a power below shape 30 and, from 30 on, exp(-a phi(x/a)) times
+a Stirling factor (after DiDonato & Morris, ACM TOMS 12, 1986, and Gil,
+Segura & Temme, SIAM J. Sci. Comput. 34, 2012).  The quantiles invert P
+with ``_gammaincinv``: a start from a per-shape table of log x against the
+log tail probability, whose nodes Newton's method on log x finds, then one
+Halley step with ``_pq``'s residual.  On 1e5 draws it is 2-8x faster than
+scipy's ``gammaincinv`` at shapes 0.1 to 50.  Against a 100-bit oracle over seeded draws and both tails down to 2^-52,
+its worst error is 2-58 ulp at those shapes, below scipy's (8-319 ulp) at
+each; both grow where the inverse is ill-conditioned, at small shapes.
 
-Gamma and generalized Gaussian (so normal and Laplace) quantiles invert the
-regularized incomplete gamma function P(a, x) with ``_gammaincinv``: a start
-from a per-shape table, then one Halley step (after DiDonato & Morris, ACM
-TOMS 12, 1986, and Gil, Segura & Temme, SIAM J. Sci. Comput. 34, 2012).  It
-is 4-6x faster than scipy's ``gammaincinv`` at shapes 0.1 to 2/3 and about 2x
-at 1 to 50.  Against a 100-bit oracle over seeded draws and both tails down
-to 2^-52, its worst error is 3-210 ulp at shapes 0.1 to 50, never above
-scipy's there (8-320 ulp); both grow where the inverse is ill-conditioned, at
-small shapes.  scipy's inverse still serves a probability of 0 or 1, a tail
-probability below 2^-60, and any value whose Halley correction is too large
-to certify.
+``scipy.special`` is imported on first use (``_special``) by the lognormal
+family, ``lognormal_qa_sigma_derivative`` and the gamma family's fallbacks: a
+tail probability below 2^-60, a Halley step too large to certify, and shapes
+above 1e4.  Importing the package, estimating from given data and sampling
+from the other families do not load it.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ __all__ = [
 ]
 
 _EPS_MACH = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny
 _DEAD_BAND = 1e-12  # |dQA/dparam| below this is a zero sign, whatever the noise floor
 _CONGRUENCE_DELTA = 1e-4  # the congruence scan's smallest eps
 
@@ -74,74 +77,219 @@ def _open_unit(rng: np.random.Generator, size) -> np.ndarray:
 
 
 def _special():
-    """``scipy.special``, imported on first use: only family methods need it."""
+    """``scipy.special``, imported on first use: only the lognormal family and the
+    rare fallbacks of the gamma-family functions need it."""
     import scipy.special
 
     return scipy.special
 
 
+# _pq's constants: from _STIRLING_A on, its prefactor takes Gamma(a) from the Stirling
+# series through a^-7, whose first omitted term, 1/(1188 a^9), is below 2^-54 there;
+# above _A_MAX (where P's series needs some 900 terms at x = a + 1) scipy serves P
+# and Q.
+_STIRLING_A = 30.0
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0)
+_A_MAX = 1e4
+
 # _gammaincinv's constants: its table spans tail probabilities e^s for s in
-# [_S_LOW, _S_HIGH] on _NODES uniform nodes; P(a, x) is a power series at
-# x <= _SERIES_X, whose tail after _SERIES_TERMS terms is below 2^25/25! <
-# 2^-58 there; a Halley step is kept when its predicted relative error is
-# below _CERTIFY.
+# [_S_LOW, _S_HIGH] on _NODES uniform nodes; a Halley step is kept when its
+# predicted relative error is below _CERTIFY.
 _S_LOW, _S_HIGH = math.log(2.0**-60), math.log(0.5)
 _NODES = 2048
-_SERIES_X = 2.0
-_SERIES_TERMS = 24
 _CERTIFY = 2.0**-60
 
 
+def _gamma_function(v: float) -> float:
+    """Gamma(v) for v > 0, inf where it overflows a double."""
+    try:
+        return math.gamma(v)
+    except OverflowError:
+        return math.inf
+
+
 @functools.lru_cache(maxsize=32)  # bounded: a congruence scan of a shape makes new shapes
-def _quantile_table(a: float) -> tuple[np.ndarray, list[float]]:
-    """Cubic Hermite coefficients of log x against s = log(tail), one column per interval,
-    and the coefficients 1 / ((a+1)...(a+n)), n = 0.._SERIES_TERMS, of P's series.
+def _series(a: float) -> tuple[float, tuple[float, ...]]:
+    """A power of two w <= a + 1 and the coefficients w^n / (a (a+1)...(a+n)),
+    n = 0, 1, ..., of P's series over the prefactor in z = x / w, through the
+    first n whose term's tail bound at x = a + 1, t_n (a + 1) / n, is below
+    2^-56 of the sum (which is at least 1; the terms fall faster at any smaller
+    x).  The scale keeps the coefficients of large shapes from underflowing,
+    and z is exact."""
+    w = 2.0 ** math.floor(math.log2(a + 1.0))
+    coef, term, n = [1.0 / a], 1.0, 0
+    while term * (a + 1.0) >= n * 2.0**-56:
+        n += 1
+        coef.append(coef[-1] * w / (a + n))
+        term *= (a + 1.0) / (a + n)
+    return w, tuple(coef)
+
+
+def _prefactor(a: float, x: np.ndarray, log_x: np.ndarray) -> np.ndarray:
+    """x^a e^-x / Gamma(a), which is x times the gamma density."""
+    if a < _STIRLING_A:
+        # The power is exact to an ulp, where exp(a log x - x) would carry the
+        # rounding of a large a log x.  Where x or e^-x is not a normal double the
+        # exponent form keeps the value, and log x stands in for an x that underflowed.
+        c = a / math.gamma(a + 1.0)
+        pre = x**a * np.exp(-x) * c
+        odd = (x < _TINY) | (x > 700.0)
+        if odd.any():
+            pre[odd] = np.exp(a * log_x[odd] - x[odd]) * c
+        return pre
+    # exp(-a phi(x / a)) a^a e^-a / Gamma(a), phi(t) = t - 1 - log t: near t = 1 log1p
+    # keeps phi's bits, where the terms of a log x - x - log Gamma(a) cancel
+    d = (x - a) / a
+    log_t = np.where(d < -0.5, np.log(x / a), np.log1p(np.maximum(d, -0.5)))
+    mu = sum(c / a ** (2 * i + 1) for i, c in enumerate(_STIRLING))
+    return math.sqrt(a / (2.0 * math.pi)) * math.exp(-mu) * np.exp(a * (log_t - d))
+
+
+def _pq(a: float, x, log_x=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """P(a, x), Q(a, x) = 1 - P(a, x) and x^a e^-x / Gamma(a), elementwise for x >= 0.
+
+    Below x = a + 1, P is the all-positive series x^a e^-x / Gamma(a+1) *
+    sum x^n / ((a+1)...(a+n)) by Horner's rule, and Q = 1 - P.  Above it Q is
+    x^a e^-x / Gamma(a) over Legendre's continued fraction
+    x+1-a - 1(1-a) / (x+3-a - 2(2-a) / (x+5-a - ...)), evaluated bottom up
+    from a depth at which it has converged at x = a + 1, and
+    P = 1 - Q.  So the smaller of P and Q keeps its relative accuracy (after
+    DiDonato & Morris, ACM TOMS 12, 1986, and Gil, Segura & Temme, SIAM J. Sci.
+    Comput. 34, 2012).  The third value, x times the density, is both
+    expansions' prefactor; ``log_x``, when the caller has it, saves a log.
+    NaN stays NaN; above _A_MAX scipy gives P and Q.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    shape, x = x.shape, x.ravel()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_x = np.log(x) if log_x is None else np.ravel(log_x)
+        pre = _prefactor(a, x, log_x)
+        if a > _A_MAX:
+            sp = _special()
+            p, q = sp.gammainc(a, x), sp.gammaincc(a, x)
+        else:
+            series = x < a + 1.0
+            w, coef = _series(a)
+            z = x / w  # the sum runs on every lane: cheaper than gathering the series lanes
+            e = np.full_like(z, coef[-1])
+            for c in coef[-2::-1]:
+                e *= z
+                e += c
+            cf = ~series & (x < np.inf)
+            if cf.any():
+                e[cf] = 1.0 / _fraction(a, x[cf], _fraction_depth(a))
+            e *= pre  # P on the series lanes, Q on the fraction's
+            rest = 1.0 - e
+            p, q = np.where(series, e, rest), np.where(series, rest, e)
+        at_inf = x == np.inf
+        if at_inf.any():
+            p[at_inf], q[at_inf], pre[at_inf] = 1.0, 0.0, 0.0
+    return p.reshape(shape), q.reshape(shape), pre.reshape(shape)
+
+
+def _fraction(a: float, x, depth: int):
+    """The denominator t_0 of Legendre's continued fraction Gamma(a, x) e^x x^-a =
+    1 / t_0, t_n = x + 1 - a + 2n + (n+1)(a-n-1) / t_{n+1}, from t_depth = x + 1 - a +
+    2 depth up; x is a float or an array."""
+    t = x + (1.0 - a + 2.0 * depth)
+    for n in range(depth, 0, -1):
+        t = n * (a - n) / t + x + (1.0 - a + 2.0 * (n - 1))
+    return t
+
+
+@functools.lru_cache(maxsize=32)
+def _fraction_depth(a: float) -> int:
+    """A depth from which ``_fraction`` has converged at x = a + 1, and so at any
+    larger x: the first on a ladder of depths whose value is within 2 ulp of the
+    next one's."""
+    x = a + 1.0
+    depth, value = 4, _fraction(a, x, 4)
+    while True:
+        deeper = depth + depth // 4 + 1
+        deeper_value = _fraction(a, x, deeper)
+        if abs(deeper_value - value) <= 2.0 * _EPS_MACH * deeper_value:
+            return deeper
+        depth, value = deeper, deeper_value
+
+
+@functools.lru_cache(maxsize=32)
+def _quantile_table(a: float) -> np.ndarray:
+    """Cubic Hermite coefficients of log x against s = log(tail), one column per interval.
 
     Columns ``0 .. _NODES-2`` are the lower half (P(a, x) = e^s), the next
     ``_NODES-1`` the upper half (Q(a, x) = e^s); the four rows hold c0..c3 of
-    ``c0 + c1*tau + c2*tau^2 + c3*tau^3`` for tau in [0, 1].  Nodes
-    come from scipy's inverses and slopes from the density:
-    d log x / ds = +-e^s / (x pdf(x)).  A node scipy puts at x = 0 (tiny
-    shapes) makes its intervals NaN, which the Halley guard sends back to scipy.
+    ``c0 + c1*tau + c2*tau^2 + c3*tau^3`` for tau in [0, 1].  The nodes solve
+    log P(a, e^y) = s and log Q(a, e^y) = s by Newton's method on y = log x:
+    both sides are concave in y, so after the first step the iterates close in
+    from one side, and a lane is frozen once its step falls below 2^-26 (the
+    next one would be below 2^-52).  The slopes come from the density,
+    d log x / ds = +-e^s / (x pdf(x)).  A start that underflows to x = 0 (tiny
+    shapes) cannot be certified by the Halley step, which sends it to scipy.
     """
-    sp = _special()
     s = np.linspace(_S_LOW, _S_HIGH, _NODES)
     tail = np.exp(s)
     h = s[1] - s[0]
-    halves = []
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for x, sign in ((sp.gammaincinv(a, tail), h), (sp.gammainccinv(a, tail), -h)):
-            y = np.log(x)
-            m = sign * tail / np.exp(a * y - x - sp.gammaln(a))  # h * d log x / ds
-            dy = y[1:] - y[:-1]
+    lg = math.lgamma(a + 1.0)
+    # starts: P(a, x) < x^a / Gamma(a+1) below; above, Q(a, x) ~ x^(a-1) e^-x / Gamma(a)
+    # when a < 1, and the Wilson-Hilferty cube with a rational normal quantile
+    # (Abramowitz & Stegun 26.2.23) from a = 1 on
+    lower = (s + lg) / a
+    if a < 1.0:
+        upper_x = np.ones_like(s)
+        for _ in range(4):
+            upper_x = np.maximum(-s - lg + math.log(a) + (a - 1.0) * np.log(upper_x), 1.0)
+    else:
+        r = np.sqrt(-2.0 * s)
+        z = r - (2.515517 + r * (0.802853 + r * 0.010328)) / (
+            1.0 + r * (1.432788 + r * (0.189269 + r * 0.001308)))
+        upper_x = a * (1.0 - 1.0 / (9.0 * a) + z / (3.0 * math.sqrt(a))) ** 3
+    y = np.concatenate([lower, np.log(upper_x)])
+    target = np.concatenate([s, s])
+    is_upper = np.arange(2 * _NODES) >= _NODES
+    live = np.arange(2 * _NODES)
+    with np.errstate(all="ignore"):
+        for _ in range(60):
+            x = np.exp(y[live])
+            p, q, pre = _pq(a, x, y[live])
+            up = is_upper[live]
+            tail_now = np.where(up, q, p)
+            # d log P / dy = pre / P, d log Q / dy = -pre / Q
+            step = (np.log(tail_now) - target[live]) * tail_now / np.where(up, -pre, pre)
+            y[live] -= step
+            live = live[~(np.abs(step) < 2.0**-26)]
+            if not live.size:
+                break
+        x = np.exp(y)
+        pre = _pq(a, x, y)[2]
+        halves = []
+        for part, sign in ((slice(0, _NODES), h), (slice(_NODES, None), -h)):
+            yy = y[part]
+            m = sign * tail / pre[part]  # h * d log x / ds
+            dy = yy[1:] - yy[:-1]
             halves.append(np.stack(
-                [y[:-1], m[:-1], 3.0 * dy - 2.0 * m[:-1] - m[1:], m[:-1] + m[1:] - 2.0 * dy]))
-    series = [1.0]
-    for n in range(1, _SERIES_TERMS + 1):
-        series.append(series[-1] / (a + n))
-    return np.concatenate(halves, axis=1), series
+                [yy[:-1], m[:-1], 3.0 * dy - 2.0 * m[:-1] - m[1:], m[:-1] + m[1:] - 2.0 * dy]))
+    return np.concatenate(halves, axis=1)
 
 
-def _gammaincinv(a: float, u) -> np.ndarray:
+def _gammaincinv(a: float, u, q=None) -> np.ndarray:
     """x >= 0 with P(a, x) = u for u in [0, 1], elementwise, shaped like u.
 
-    The lower half (u <= 1/2) solves P = u from a start tabulated against
-    log u; the upper half solves Q = 1 - u (exact there) from one against
-    log(1 - u).  One Halley step follows.  Its residual is P from the
-    all-positive series x^a e^-x / Gamma(a+1) * sum x^n / ((a+1)...(a+n)) at
-    x <= 2, where scipy's ``gammainc`` is slowest, and scipy's ``gammainc`` or
-    ``gammaincc`` above.  scipy's ``gammaincinv`` takes u = 0 or 1, tails
-    below the table and any value the step cannot certify.
+    ``q``, when given, is 1 - u without the rounding of 1 - u: the upper half
+    (q < 1/2) solves Q(a, x) = q, so a tail far below 2^-53 keeps its bits.
+    The lower half solves P = u from a start tabulated against log u, the upper
+    half Q = q from one against log q.  One Halley step follows, its residual
+    from ``_pq``.  u = 0 gives 0 and q = 0 gives inf; scipy's inverses take
+    tails below the table and any value the step cannot certify.
     """
-    sp = _special()
     u = np.asarray(u, dtype=np.float64)
     flat = u.ravel()
-    coef, series = _quantile_table(a)
+    q = 1.0 - flat if q is None else np.asarray(q, dtype=np.float64).ravel()
+    coef = _quantile_table(a)
     intervals = _NODES - 1
     with np.errstate(all="ignore"):
-        upper = flat > 0.5
-        q = 1.0 - flat
-        t = (np.log(np.where(upper, q, flat)) - _S_LOW) * (intervals / (_S_HIGH - _S_LOW))
+        upper = q < 0.5
+        tail = np.where(upper, q, flat)
+        t = (np.log(tail) - _S_LOW) * (intervals / (_S_HIGH - _S_LOW))
         i = np.clip(t, 0, intervals - 1).astype(np.intp)
         tau = t - i
         column = i + intervals * upper
@@ -149,32 +297,29 @@ def _gammaincinv(a: float, u) -> np.ndarray:
         log_x = c0 + tau * (c1 + tau * (c2 + tau * c3))
         x = np.exp(log_x)
 
-        r = np.empty_like(x)  # P(a, x) - u at the start
-        small = x <= _SERIES_X
-        xs = x[small]
-        acc = np.full_like(xs, series[-1])
-        for c in series[-2::-1]:
-            acc *= xs
-            acc += c
-        r[small] = xs**a * np.exp(-xs) / sp.gamma(a + 1.0) * acc - flat[small]
-        lower_big, upper_big = ~small & ~upper, ~small & upper
-        r[lower_big] = sp.gammainc(a, x[lower_big]) - flat[lower_big]
-        r[upper_big] = q[upper_big] - sp.gammaincc(a, x[upper_big])
-
-        a_log_x = a * log_x
-        newton = r * x / np.exp(a_log_x - x - sp.gammaln(a))  # r / pdf(x)
+        p_x, q_x, pre = _pq(a, x, log_x)
+        r = np.where(upper, q - q_x, p_x - flat)  # P(a, x) - u at the start
+        newton = r * x / pre  # r / pdf(x)
         dx = newton / (1.0 - 0.5 * newton * ((a - 1.0) / x - 1.0))
         # From a start off by rho (about |dx| / x) relative, the step leaves
         # about K rho^3, K = (a - 1 - x)^2 / 12 + (a - 1) / 6 (k adds 1 to cap
         # rho where K is small), plus rho times the pdf's rounding error, which
-        # grows with the terms of its exponent.
+        # the terms of a log x - x - log Gamma(a) bound.
         rho = np.abs(dx) / x
         k = 1.0 + (a - 1.0 - x) ** 2 / 12.0 + abs(a - 1.0) / 6.0
-        pdf_error = _EPS_MACH * (np.abs(a_log_x) + x + abs(sp.gammaln(a)))
+        pdf_error = _EPS_MACH * (np.abs(a * log_x) + x + abs(math.lgamma(a)))
         certified = (t >= 0) & (rho * (rho**2 * k + pdf_error) <= _CERTIFY)
         x -= dx
-    if not certified.all():
-        x[~certified] = sp.gammaincinv(a, flat[~certified])
+    zero = tail == 0.0
+    if zero.any():
+        x[zero] = np.where(upper[zero], np.inf, 0.0)
+        certified |= zero
+    fallback = ~certified
+    if fallback.any():
+        sp = _special()
+        low, up = fallback & ~upper, fallback & upper
+        x[low] = sp.gammaincinv(a, flat[low])
+        x[up] = sp.gammainccinv(a, q[up])
     return x.reshape(u.shape)
 
 
@@ -260,7 +405,7 @@ class Weibull(Family):
         return np.where(x <= 0, 0.0, (self.shape / self.scale) * out)
 
     def mean(self) -> float:
-        return self.scale * _special().gamma(1.0 + 1.0 / self.shape)
+        return self.scale * _gamma_function(1.0 + 1.0 / self.shape)
 
 
 @dataclass(frozen=True)
@@ -328,12 +473,12 @@ class Gamma(Family):
         return self.scale * _gammaincinv(self.shape, p)
 
     def _cdf(self, x):
-        return _special().gammainc(self.shape, np.clip(x, 0, None) / self.scale)
+        return _pq(self.shape, np.clip(x, 0, None) / self.scale)[0]
 
     def _pdf(self, x):
         xp, log_scale = np.where(x <= 0, self.scale, x), math.log(self.scale)
         log_z = np.log(xp) - log_scale  # log(xp / scale) would take the log of 0 or inf
-        logp = (self.shape - 1.0) * log_z - xp / self.scale - _special().gammaln(self.shape)
+        logp = (self.shape - 1.0) * log_z - xp / self.scale - math.lgamma(self.shape)
         return np.where(x <= 0, 0.0, np.exp(logp - log_scale))
 
     def mean(self) -> float:
@@ -355,16 +500,19 @@ class GeneralizedGaussian(Family):
     beta: float = 2.0
 
     def _q(self, p):
-        z = _gammaincinv(1.0 / self.beta, np.abs(2.0 * p - 1.0)) ** (1.0 / self.beta)
+        # |Z|^beta is gamma(1/beta) distributed; its upper tail 2 min(p, 1 - p) is
+        # exact, where 1 - tail = |2p - 1| would drop the low bits of a small p
+        tail = 2.0 * np.minimum(p, 1.0 - p)
+        z = _gammaincinv(1.0 / self.beta, 1.0 - tail, tail) ** (1.0 / self.beta)
         return self.mu + self.sigma * np.where(p >= 0.5, z, -z)
 
     def _cdf(self, x):
-        g = _special().gammainc(1.0 / self.beta, (np.abs(x - self.mu) / self.sigma) ** self.beta)
-        return 0.5 + 0.5 * np.sign(x - self.mu) * g
+        lower, upper, _ = _pq(1.0 / self.beta, (np.abs(x - self.mu) / self.sigma) ** self.beta)
+        return np.where(x < self.mu, 0.5 * upper, 0.5 + 0.5 * lower)
 
     def _pdf(self, x):
         z = np.abs(x - self.mu) / self.sigma
-        norm = self.beta / (2.0 * self.sigma * _special().gamma(1.0 / self.beta))
+        norm = self.beta / (2.0 * self.sigma * _gamma_function(1.0 / self.beta))
         return norm * np.exp(-(z**self.beta))
 
     def mean(self) -> float:

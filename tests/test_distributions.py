@@ -27,7 +27,15 @@ from hlmoments import (
     qa_partial_sign,
     quantile_average,
 )
-from hlmoments.distributions import _CONGRUENCE_DELTA, _DEAD_BAND, _EPS_MACH, _gammaincinv
+from hlmoments import distributions
+from hlmoments.distributions import (
+    _CONGRUENCE_DELTA,
+    _DEAD_BAND,
+    _EPS_MACH,
+    _STIRLING_A,
+    _gammaincinv,
+    _pq,
+)
 
 ALL_FAMILIES = [
     Weibull(1.0, 1.0),
@@ -103,19 +111,20 @@ ULP_MARGIN = 4.0
 
 
 def _gamma_seams(a):
-    """Where _gammaincinv switches: the two halves at u = 1/2, the series at x = 2,
-    and the lower end of its table at u = 2^-60."""
-    return [0.5, float(gammainc(a, 2.0)), 2.0**-60]
+    """Where _gammaincinv switches: the two halves at u = 1/2, its residual's series
+    and continued fraction at x = a + 1, and the lower end of its table at u = 2^-60."""
+    return [0.5, float(gammainc(a, a + 1.0)), 2.0**-60]
 
 
 def _gamma_points(a):
-    """Seeded 53-bit draws, both tails down to 2^-52, each seam with its neighbours, and
-    points below x = 2, where the series is summed at its largest x."""
+    """Seeded 53-bit draws, both tails down to 2^-52, u = 1/2, P(a, 2) and 2^-60 each
+    with its neighbours, and points just below x = 2."""
     draws = np.random.default_rng(2024).integers(1, 1 << 53, 150) / float(1 << 53)
     tails = 2.0 ** -np.arange(1, 53)
-    seams = [np.nextafter(s, d) for s in _gamma_seams(a) for d in (0.0, 1.0)]
-    below_switch = gammainc(a, np.array([1.0, 1.5, 1.9, 1.99, 1.999]))
-    return np.concatenate([draws, tails, 1.0 - tails, _gamma_seams(a), seams, below_switch])
+    marks = [0.5, float(gammainc(a, 2.0)), 2.0**-60]
+    seams = [np.nextafter(s, d) for s in marks for d in (0.0, 1.0)]
+    below_two = gammainc(a, np.array([1.0, 1.5, 1.9, 1.99, 1.999]))
+    return np.concatenate([draws, tails, 1.0 - tails, marks, seams, below_two])
 
 
 def _oracle_ulp_errors(mpmath, a, u, x):
@@ -152,6 +161,21 @@ class TestGammaQuantile:
         theirs = _oracle_ulp_errors(mpmath, a, u, gammaincinv(a, u))
         assert ours.max() <= theirs.max() + ULP_MARGIN, (ours.max(), theirs.max())
 
+    def test_shape_50_at_two_to_the_minus_12(self):
+        # the residual's own P: scipy's gammainc is 117 ulp off at the start there
+        mpmath = pytest.importorskip("mpmath")
+        u = np.array([2.0**-12])
+        assert _oracle_ulp_errors(mpmath, 50.0, u, _gammaincinv(50.0, u))[0] <= 4.0
+
+    @pytest.mark.parametrize("a", GAMMA_SHAPES, ids=lambda a: f"a={a:.3g}")
+    def test_seeded_draws_never_fall_back_to_scipy(self, a, monkeypatch):
+        def no_scipy():
+            raise AssertionError("scipy fallback")
+
+        monkeypatch.setattr(distributions, "_special", no_scipy)
+        for seed in range(3):
+            assert np.isfinite(Gamma(a).sample(20_000, seed)).all()
+
     @pytest.mark.parametrize("a", GAMMA_SHAPES, ids=lambda a: f"a={a:.3g}")
     def test_monotone_across_the_seams(self, a):
         steps = 1.0 + np.arange(-500, 501) * 2.0**-40
@@ -175,6 +199,59 @@ class TestGammaQuantile:
     @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 2.0, 8.0])
     def test_generalized_gaussian_median_is_mu_exactly(self, beta):
         assert GeneralizedGaussian(1.7, 2.0, beta).quantile(0.5) == 1.7
+
+    @pytest.mark.parametrize("p", [1e-10, 1e-5, 1.0 - 1e-10, 2.0**-52])
+    def test_normal_and_laplace_tails_keep_the_bits_of_p(self, p):
+        # the upper half takes the exact tail 2 min(p, 1 - p), not 1 - |2p - 1|
+        tail = min(p, 1.0 - p)
+        sign = -1.0 if p < 0.5 else 1.0
+        for got, want in ((normal().quantile(p), -sign * ndtri(tail)),
+                          (laplace().quantile(p), sign * -math.log(2.0 * tail))):
+            assert abs(got - want) <= 4.0 * np.spacing(abs(want)), (got, want)
+
+    def test_generalized_gaussian_lower_tail_cdf_keeps_its_bits(self):
+        assert normal().cdf(-10.0) == pytest.approx(norm.cdf(-10.0), rel=1e-13)
+        assert laplace().cdf(-30.0) == pytest.approx(0.5 * math.exp(-30.0), rel=1e-13)
+
+
+class TestIncompleteGammaRatio:
+    """``_pq``: P(a, x) by its series below x = a + 1, Q(a, x) by Legendre's fraction above."""
+
+    @pytest.mark.parametrize("a", [0.1, 2.0 / 3.0, 1.5, 5.0, 50.0], ids=lambda a: f"a={a:.3g}")
+    def test_against_mpmath_on_both_sides_of_a_plus_one(self, a):
+        mpmath = pytest.importorskip("mpmath")
+        x = np.array([a / 2.0, a, np.nextafter(a + 1.0, 0.0), a + 1.0, 2.0 * (a + 1.0)])
+        p, q, pre = _pq(a, x)
+        np.testing.assert_allclose(p + q, 1.0, rtol=0, atol=_EPS_MACH)
+        with mpmath.workprec(100):
+            for xi, pi, qi, prei in zip(x.tolist(), p, q, pre):
+                am, xm = mpmath.mpf(a), mpmath.mpf(xi)
+                lower = xi < a + 1.0
+                want = mpmath.gammainc(am, 0, xm, regularized=True) if lower else \
+                    mpmath.gammainc(am, xm, mpmath.inf, regularized=True)
+                got = pi if lower else qi
+                assert abs(float((got - want) / want)) <= 8 * _EPS_MACH, (xi, got, float(want))
+                want_pre = mpmath.exp(am * mpmath.log(xm) - xm - mpmath.loggamma(am))
+                assert abs(float((prei - want_pre) / want_pre)) <= 8 * _EPS_MACH, xi
+
+    def test_the_two_prefactor_forms_meet_at_the_stirling_seam(self):
+        below = np.nextafter(_STIRLING_A, 0.0)
+        x = _STIRLING_A * np.array([0.5, 0.9, 1.0, 1.1, 2.0])
+        for got, want in zip(_pq(below, x), _pq(_STIRLING_A, x)):
+            np.testing.assert_allclose(got, want, rtol=1e-13)
+
+    @pytest.mark.parametrize("a", [1e-3, 3e3, 2e4], ids=lambda a: f"a={a:g}")
+    def test_extreme_shapes_match_scipy(self, a):
+        # 2e4 is above _A_MAX, where scipy gives P and Q; 1e-3 and 3e3 are the package's
+        u = np.array([1e-20, 1e-5, 0.3, 0.5, 0.7, 1.0 - 1e-5])
+        want = np.where(u > 0.5, gammainccinv(a, 1.0 - u), gammaincinv(a, u))
+        np.testing.assert_allclose(Gamma(a).quantile(u), want, rtol=1e-12)
+        np.testing.assert_allclose(Gamma(a).cdf(want), gammainc(a, want), rtol=1e-12)
+
+    def test_ends_and_nan(self):
+        p, q, pre = _pq(2.0, np.array([0.0, np.inf, np.nan]))
+        assert p[:2].tolist() == [0.0, 1.0] and q[:2].tolist() == [1.0, 0.0]
+        assert pre[:2].tolist() == [0.0, 0.0] and np.isnan([p[2], q[2], pre[2]]).all()
 
 
 class TestDensities:
