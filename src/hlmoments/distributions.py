@@ -232,18 +232,21 @@ def _quantile_table(a: float) -> np.ndarray:
     lg = math.lgamma(a + 1.0)
     # starts: P(a, x) < x^a / Gamma(a+1) below; above, Q(a, x) ~ x^(a-1) e^-x / Gamma(a)
     # when a < 1, and the Wilson-Hilferty cube with a rational normal quantile
-    # (Abramowitz & Stegun 26.2.23) from a = 1 on
-    lower = (s + lg) / a
+    # (Abramowitz & Stegun 26.2.23) from a = 1 on.  Where P at the lower start
+    # underflows (from about shape 2000) Newton's step is not finite, and the
+    # lane restarts from the lower Wilson-Hilferty value.
+    r = np.sqrt(-2.0 * s)
+    z = r - (2.515517 + r * (0.802853 + r * 0.010328)) / (
+        1.0 + r * (1.432788 + r * (0.189269 + r * 0.001308)))
+    with np.errstate(invalid="ignore"):  # NaN where the cube is negative: small shapes
+        wilson = np.log(a * (1.0 - 1.0 / (9.0 * a)
+                             + np.concatenate([-z, z]) / (3.0 * math.sqrt(a))) ** 3)
+    y = np.concatenate([(s + lg) / a, wilson[_NODES:]])
     if a < 1.0:
         upper_x = np.ones_like(s)
         for _ in range(4):
             upper_x = np.maximum(-s - lg + math.log(a) + (a - 1.0) * np.log(upper_x), 1.0)
-    else:
-        r = np.sqrt(-2.0 * s)
-        z = r - (2.515517 + r * (0.802853 + r * 0.010328)) / (
-            1.0 + r * (1.432788 + r * (0.189269 + r * 0.001308)))
-        upper_x = a * (1.0 - 1.0 / (9.0 * a) + z / (3.0 * math.sqrt(a))) ** 3
-    y = np.concatenate([lower, np.log(upper_x)])
+        y[_NODES:] = np.log(upper_x)
     target = np.concatenate([s, s])
     is_upper = np.arange(2 * _NODES) >= _NODES
     live = np.arange(2 * _NODES)
@@ -255,7 +258,7 @@ def _quantile_table(a: float) -> np.ndarray:
             tail_now = np.where(up, q, p)
             # d log P / dy = pre / P, d log Q / dy = -pre / Q
             step = (np.log(tail_now) - target[live]) * tail_now / np.where(up, -pre, pre)
-            y[live] -= step
+            y[live] = np.where(np.isfinite(step), y[live] - step, wilson[live])
             live = live[~(np.abs(step) < 2.0**-26)]
             if not live.size:
                 break
@@ -503,7 +506,10 @@ class GeneralizedGaussian(Family):
         # |Z|^beta is gamma(1/beta) distributed; its upper tail 2 min(p, 1 - p) is
         # exact, where 1 - tail = |2p - 1| would drop the low bits of a small p
         tail = 2.0 * np.minimum(p, 1.0 - p)
-        z = _gammaincinv(1.0 / self.beta, 1.0 - tail, tail) ** (1.0 / self.beta)
+        with np.errstate(over="ignore"):
+            z = _gammaincinv(1.0 / self.beta, 1.0 - tail, tail) ** (1.0 / self.beta)
+        if not np.isfinite(z).all():
+            raise ArgumentError(f"beta={self.beta:g} is too small: quantiles overflow a double")
         return self.mu + self.sigma * np.where(p >= 0.5, z, -z)
 
     def _cdf(self, x):

@@ -6,7 +6,7 @@ combinations in colexicographic blocks through data-independent index tables
 cached for the process (4 776 450 bytes at worst).  Monte Carlo mode draws
 combinations uniformly with replacement, one RNG substream per block of 2^18
 draws, so the result depends only on (sample, draws, seed); a block is held
-as k rows of 4-byte indices and gathered 2^15 draws at a time.
+as k rows of 4-byte indices.  Both modes gather rows one kernel tile at a time.
 
 The returned pseudo-sample is sorted ascending with -0.0 normalized to +0.0,
 making it bit-reproducible.
@@ -29,7 +29,7 @@ from .errors import (
     _integer,
     _reals,
 )
-from .kernels import _check_order, _psi2, kernel_values
+from .kernels import _TILE, _check_order, _psi2, kernel_values
 from .lstat import TrimSpec, _midpoint, retained_window
 
 __all__ = [
@@ -44,16 +44,13 @@ __all__ = [
 #: Default cap on C(n, k) for exact enumeration.
 DEFAULT_BUDGET = 50_000_000
 
-# Combinations gathered and evaluated at once by an exact plan.  It changes no
-# bit of the result, so no plan carries it.
-_CHUNK = 1 << 18
+# Index cells in one level's colex table: at most _TABLE_CELLS // q q-subsets.
+# It changes no bit of the result, so no plan carries it.
+_TABLE_CELLS = 1 << 18
 
 # Draws per Monte Carlo RNG substream, held as k rows of 4-byte indices.  It
 # defines the stream, so it is fixed: changing it changes every Monte Carlo result.
 _MC_BLOCK = 1 << 18
-
-# Drawn columns selected, gathered and evaluated at once; it changes no bit.
-_MC_TILE = 1 << 15
 
 _COLEX: dict[int, np.ndarray] = {}  # level q -> the table _colex(q, m) returns a prefix of
 
@@ -69,10 +66,10 @@ _SELECT_PROBE, _SELECT_PIVOTS, _SELECT_GATHER, _SELECT_HOLD = 4096, np.array([-6
 class ExactPlan:
     """Enumerate every combination, provided C(n, k) <= budget.
 
-    Gathers at most 2^18 combinations at once: beyond the C(n, k) output
-    values and the process-wide index tables (4 776 450 bytes at worst) they
-    take O(2^18 * k) memory, however large C(n, k) is, and the kernel's own
-    temporaries are bounded by its fixed row tile.
+    Beyond the C(n, k) output values it holds the level tables (the
+    process-wide index tables, 4 776 450 bytes at worst, and per call at most
+    2^18 gathered values per level) and one tile of 8192 rows of k values,
+    however large C(n, k) is; the kernel's own temporaries are tile-sized too.
     """
 
     budget: int = DEFAULT_BUDGET
@@ -85,10 +82,9 @@ class ExactPlan:
 class MonteCarloPlan:
     """Draw ``draws`` combinations uniformly with replacement, seeded.
 
-    Holds one block of 2^18 draws at once as k rows of 4-byte indices, and
-    gathers 2^15 of them at a time: beyond the ``draws`` output values it
-    takes 4 * k * 2^18 index bytes plus O(2^15 * k) gathered values, and
-    the kernel's own temporaries are bounded by its fixed row tile.
+    Beyond the ``draws`` output values it holds one block of 2^18 draws as
+    k rows of 4-byte indices (4 * k * 2^18 bytes) and one tile of 8192 rows
+    of k values; the kernel's own temporaries are tile-sized too.
     """
 
     draws: int
@@ -114,21 +110,19 @@ def count_combinations(n: int, k: int) -> int:
     return total
 
 
-def _sample_index_combinations(
-    rng: np.random.Generator, n: int, k: int, m: int
-) -> np.ndarray:
-    """Draw m uniform k-subsets of {0..n-1}, rows sorted ascending.
+def _sample_index_combinations(rng: np.random.Generator, n: int, k: int, m: int):
+    """Yield m uniform k-subsets of {0..n-1}, as (k, <= _TILE) tiles of ascending columns.
 
     Sequential selection: the j-th index is uniform over the n-j values not
-    yet chosen in its row, mapped past the chosen ones (kept ascending) and
+    yet chosen in its column, mapped past the chosen ones (kept ascending) and
     inserted among them.  The k rows are drawn first, in the stream's order,
-    as 4-byte ints below n = 2^31, then selected one _MC_TILE at a time.
+    as 4-byte ints below n = 2^31, then each tile is selected as it is yielded.
     """
     sel = np.empty((k, m), dtype=np.int32 if n < 2**31 else np.int64)  # a row per position
     for j in range(k):
         sel[j] = rng.integers(0, n - j, size=m, dtype=sel.dtype)
-    for a in range(0, m, _MC_TILE):
-        tile = sel[:, a:a + _MC_TILE]
+    for a in range(0, m, _TILE):
+        tile = sel[:, a:a + _TILE]
         for j in range(1, k):
             v = tile[j]
             for t in range(j):
@@ -137,27 +131,26 @@ def _sample_index_combinations(
                 low = np.minimum(tile[t], v)
                 np.maximum(tile[t], v, out=v)
                 tile[t] = low
-    return sel.T
+        yield tile
 
 
 def _monte_carlo_rows(x: np.ndarray, k: int, plan: MonteCarloPlan):
-    """Yield the plan's drawn rows of x, _MC_TILE at a time.
+    """Yield the plan's drawn rows of x, one index tile at a time.
 
     Block b of _MC_BLOCK draws comes from its own substream keyed by
     (seed, b), so the stream is fixed by (n, k, plan.draws, plan.seed) alone.
     """
     for block, start in enumerate(range(0, plan.draws, _MC_BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(block,)))
-        sel = _sample_index_combinations(rng, x.size, k, min(_MC_BLOCK, plan.draws - start))
-        for a in range(0, sel.shape[0], _MC_TILE):
-            yield x[sel[a:a + _MC_TILE]]
+        for tile in _sample_index_combinations(rng, x.size, k, min(_MC_BLOCK, plan.draws - start)):
+            yield x[tile].T
 
 
 def _colex(q: int, m: int) -> np.ndarray:
     """The colex q-subsets of range(m) as uint16 indices, one row per position: a
     prefix of one data-independent table per level, kept for the process and grown
-    to the longest prefix asked for.  _exact_rows asks at most chunk // q columns,
-    so under _CHUNK no index exceeds 511 and levels 1..12 hold 4 776 450 bytes."""
+    to the longest prefix asked for.  _exact_rows asks at most cap // q columns,
+    so under _TABLE_CELLS no index exceeds 511 and levels 1..12 hold 4 776 450 bytes."""
     size = math.comb(m, q)
     table = _COLEX.get(q)
     if table is None or table.shape[1] < size:  # for each j < m: level q - 1 up to C(j, q - 1), then j
@@ -170,48 +163,52 @@ def _colex(q: int, m: int) -> np.ndarray:
     return table[:, :size]
 
 
-def _exact_rows(x: np.ndarray, k: int, chunk: int):
-    """Yield the rows of x at every k-subset of indices, at most ``chunk`` at a time.
+def _exact_rows(x: np.ndarray, k: int, cap: int = _TABLE_CELLS, tile: int = _TILE):
+    """Yield the rows of x at every k-subset of indices, in tiles of ``tile`` rows.
 
-    Rows are x gathered through the cached ``_colex`` tables: in one piece when
-    C(n, k) <= chunk // k.  Otherwise "every r-subset of range(m), then x at
-    fixed larger indices ``top``" is a table prefix plus constants.  Such a
-    block is packed into the reused buffer (which every yielded view shares)
-    when it has at most chunk // r rows, or when r = 1 (the table is x
-    itself); otherwise it is split by its largest free index j.  Each level's
-    values, capped at chunk // r rows too, are gathered once per call, so
-    they and the buffer hold O(chunk * k) values together.
+    "Every r-subset of range(m), then x at fixed larger indices ``top``" is a
+    prefix of x gathered through the cached level-r ``_colex`` table, plus
+    constants.  When C(n, k) <= cap // k the level-k prefix is yielded in one
+    piece (the kernel tiles it; copying it into tiles cost 5-15 % of a k = 6
+    job).  Otherwise a block is split by its largest free index j until it
+    has at most cap // r rows, or r = 1 (the table is x itself), and blocks are
+    copied in order into one reused (k, tile) buffer, which every yielded view
+    shares; only the last view is short.  Each level's values, capped at
+    cap // r rows too, are gathered once per call.
     """
     n, xs = x.size, x.tolist()
-    if math.comb(n, k) <= chunk // k:
+    if math.comb(n, k) <= cap // k:
         yield x[_colex(k, n)].T
         return
     values = {1: x[None, :]}  # values[q]: x at the level-q table, one contiguous row per position
 
     def blocks(r, m, top):
-        size = math.comb(m, r)
-        if r == 1 or size <= chunk // r:
-            for a in range(0, size, chunk):  # only r = 1 blocks exceed a chunk
-                yield r, a, min(a + chunk, size), top
+        if r == 1 or math.comb(m, r) <= cap // r:
+            yield r, m, top
         else:
             for j in range(r - 1, m):
                 yield from blocks(r - 1, j, (xs[j],) + top)
 
-    buf = np.empty((k, min(chunk, math.comb(n, k))))
+    buf = np.empty((k, min(tile, math.comb(n, k))))
     fill = 0
-    for r, a, b, top in blocks(k, n, ()):
-        if fill + b - a > buf.shape[1]:
-            yield buf[:, :fill].T
-            fill = 0
+    for r, m, top in blocks(k, n, ()):
         if r not in values:  # no block at level r reaches past index n - (k - r)
-            m = r
-            while m < n - (k - r) and math.comb(m + 1, r) <= chunk // r:
-                m += 1
-            values[r] = x[_colex(r, m)]
-        buf[:r, fill:fill + b - a] = values[r][:, a:b]
-        buf[r:, fill:fill + b - a] = np.reshape(top, (-1, 1))
-        fill += b - a
-    yield buf[:, :fill].T
+            q = r
+            while q < n - (k - r) and math.comb(q + 1, r) <= cap // r:
+                q += 1
+            values[r] = x[_colex(r, q)]
+        size, a = math.comb(m, r), 0
+        while a < size:  # fill the buffer, yielding it whenever it is full
+            b = min(size, a + buf.shape[1] - fill)
+            buf[:r, fill:fill + b - a] = values[r][:, a:b]
+            buf[r:, fill:fill + b - a] = np.reshape(top, (-1, 1))
+            fill += b - a
+            a = b
+            if fill == buf.shape[1]:
+                yield buf.T
+                fill = 0
+    if fill:
+        yield buf[:, :fill].T
 
 
 def _checked_sample(sample, k: int) -> np.ndarray:
@@ -249,9 +246,9 @@ def build_pseudosample(sample, k: int, plan: PseudoPlan = ExactPlan()) -> np.nda
     """
     k, x, total = _sorted_sample(sample, k, plan)
     if isinstance(plan, ExactPlan):
-        chunks = _exact_rows(x, k, _CHUNK)
+        tiles = _exact_rows(x, k)
     else:
-        chunks = _monte_carlo_rows(x, k, plan)
+        tiles = _monte_carlo_rows(x, k, plan)
     try:
         out = np.empty(total)
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's largest array
@@ -260,7 +257,7 @@ def build_pseudosample(sample, k: int, plan: PseudoPlan = ExactPlan()) -> np.nda
         ) from exc
     start = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in chunks:
+        for rows in tiles:
             out[start:start + rows.shape[0]] = kernel_values(rows, k)
             start += rows.shape[0]
     out += 0.0  # fold -0.0 into +0.0 so the sorted output is bit-canonical

@@ -105,6 +105,9 @@ class TestQuantiles:
 
 GAMMA_SHAPES = [0.1, 0.25, 0.5, 2.0 / 3.0, 1.0, 1.5, 2.0, 5.0, 50.0]
 
+#: Shapes where P at the table's lower starts underflows, up to _pq's largest.
+LARGE_SHAPES = [2000.0, 5000.0, 9999.0]
+
 #: How many ulp the tabulated inverse may be worse than scipy's gammaincinv at
 #: its worst point: room for a last-bit difference in libm's pow and exp.
 ULP_MARGIN = 4.0
@@ -167,7 +170,11 @@ class TestGammaQuantile:
         u = np.array([2.0**-12])
         assert _oracle_ulp_errors(mpmath, 50.0, u, _gammaincinv(50.0, u))[0] <= 4.0
 
-    @pytest.mark.parametrize("a", GAMMA_SHAPES, ids=lambda a: f"a={a:.3g}")
+    @pytest.mark.parametrize("a", GAMMA_SHAPES + LARGE_SHAPES, ids=lambda a: f"a={a:.3g}")
+    def test_quantile_table_is_finite(self, a):
+        assert np.isfinite(distributions._quantile_table(a)).all()
+
+    @pytest.mark.parametrize("a", GAMMA_SHAPES + LARGE_SHAPES, ids=lambda a: f"a={a:.3g}")
     def test_seeded_draws_never_fall_back_to_scipy(self, a, monkeypatch):
         def no_scipy():
             raise AssertionError("scipy fallback")
@@ -368,6 +375,18 @@ class TestSampling:
     def test_seed_that_is_not_a_non_negative_integer_rejected(self, seed):
         with pytest.raises(ArgumentError, match="seed must be a non-negative integer"):
             Weibull(1.0, 1.0).sample(10, seed)
+
+    @pytest.mark.parametrize("beta", [1e-3, 5e-3, 1e-5])
+    def test_generalized_gaussian_quantiles_beyond_a_double_name_beta(self, beta):
+        # |Z| = G^(1/beta) with G ~ gamma(1/beta): about 1000^1000 at beta = 1e-3.
+        # A RuntimeWarning would fail the test (the suite makes them errors)
+        f = GeneralizedGaussian(0.0, 1.0, beta)
+        with pytest.raises(ArgumentError, match=f"^beta={beta:g} is too small"):
+            f.sample(1000, 1)
+        with pytest.raises(ArgumentError, match="beta"):
+            f.quantile(0.9)
+        assert f.quantile(0.5) == 0.0
+        assert np.isfinite(GeneralizedGaussian(0.0, 1.0, 0.02).sample(1000, 1)).all()
 
     def test_uniform_range(self):
         x = Uniform(0.0, 1.0).sample(1000, 3)

@@ -60,6 +60,9 @@ with contextlib.redirect_stdout(io.StringIO()):  # the cli benchmark workload's 
                                "--eps0", "0.1", "--mode", "monte-carlo", "--draws", "5000",
                                "--plan-seed", "0"]) == 0
     note("cli estimate --family gengauss --mode monte-carlo")
+for shape in (2000, 5000, 9999):
+    hlmoments.Gamma(shape).sample(10, 0)
+    note(f"Gamma({shape}).sample")
 hlmoments.LogNormal(0.0, 1.0).sample(10, 0)
 note("LogNormal(0, 1).sample")
 print(json.dumps(loaded))
@@ -78,6 +81,9 @@ WITHOUT_SCIPY = (
     "Weibull(1.5).mean()",
     "GeneralizedGaussian quantile(0.5)",
     "cli estimate --family gengauss --mode monte-carlo",
+    "Gamma(2000).sample",
+    "Gamma(5000).sample",
+    "Gamma(9999).sample",
 )
 
 

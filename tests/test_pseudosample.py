@@ -23,19 +23,18 @@ from hlmoments import (
 from hlmoments import pseudosample
 from hlmoments.kernels import _TILE
 from hlmoments.pseudosample import (
-    _CHUNK,
     _MC_BLOCK,
-    _MC_TILE,
+    _TABLE_CELLS,
     _exact_rows,
     _monte_carlo_rows,
     _sample_index_combinations,
 )
 
 
-def exact_rows(x, k, chunk):
-    """The blocks of rows of the sorted x that ``_exact_rows`` yields with gather
-    size ``chunk``, each copied out of the one buffer they all share."""
-    return [rows.copy() for rows in _exact_rows(np.sort(x), k, chunk)]
+def exact_rows(x, k, cap, tile=_TILE):
+    """The tiles of rows of the sorted x that ``_exact_rows`` yields with table
+    cap ``cap`` and tile ``tile``, each copied out of the buffer they share."""
+    return [rows.copy() for rows in _exact_rows(np.sort(x), k, cap, tile)]
 
 
 def drawn_blocks(x, k, plan):
@@ -43,6 +42,11 @@ def drawn_blocks(x, k, plan):
     draws, joined from the tiles ``_monte_carlo_rows`` yields."""
     rows = np.vstack(list(_monte_carlo_rows(np.sort(x), k, plan)))
     return np.split(rows, range(_MC_BLOCK, plan.draws, _MC_BLOCK))
+
+
+def index_combinations(rng, n, k, m):
+    """The (m, k) index rows that ``_sample_index_combinations`` yields as tiles."""
+    return np.hstack(list(_sample_index_combinations(rng, n, k, m))).T
 
 
 def block_sampler(rng, n, k, m):
@@ -106,14 +110,20 @@ class TestExactBuild:
         assert np.all(np.diff(out) >= 0)
 
     def test_partition_completeness(self):
-        # every gather size covers exactly the full combination set, in blocks
-        # of at most that many rows; on x = 0..12 the rows are the index tuples
+        # every table cap and tile covers exactly the full combination set, in
+        # full tiles but the last, or in one piece where C(13, 3) <= cap // 3;
+        # on x = 0..12 the rows are the index tuples
         full = list(combinations(range(13), 3))
-        for chunk in (1, 7, 50, 10**6):
-            blocks = exact_rows(np.arange(13.0), 3, chunk)
-            assert max(rows.shape[0] for rows in blocks) <= chunk
-            got = sorted(map(tuple, np.vstack(blocks).astype(int).tolist()))
-            assert got == full, chunk
+        for cap in (1, 7, 50, 10**6):
+            for tile in (1, 7, 50, _TILE):
+                tiles = exact_rows(np.arange(13.0), 3, cap, tile)
+                if cap == 10**6:
+                    assert len(tiles) == 1
+                else:
+                    assert {rows.shape[0] for rows in tiles[:-1]} <= {tile}
+                    assert 0 < tiles[-1].shape[0] <= tile
+                got = sorted(map(tuple, np.vstack(tiles).astype(int).tolist()))
+                assert got == full, (cap, tile)
 
     @pytest.mark.parametrize("k", range(2, 13))
     @pytest.mark.parametrize("offset", [0.0, 1e4])
@@ -132,19 +142,20 @@ class TestExactBuild:
         # (k - 1) * C(n - 2, k - 1) keeps every top-index block whole but
         # the last, which it splits
         splitting = (k - 1) * math.comb(n - 2, k - 1)
-        for chunk in (1, 7, splitting, 10**6):
-            got = pseudosample_of(exact_rows(x, k, chunk), k)
-            assert got.tobytes() == want.tobytes(), chunk
+        for cap in (1, 7, splitting, 10**6):
+            for tile in (7, _TILE):
+                got = pseudosample_of(exact_rows(x, k, cap, tile), k)
+                assert got.tobytes() == want.tobytes(), (cap, tile)
 
-    def test_working_memory_is_bounded_by_chunk(self):
+    def test_working_memory_is_bounded_by_cap_and_tile(self):
         # C(29, 5) = 118755 subsets share the largest index, far more than
-        # the chunk; only the output may grow with C(n, k)
+        # the cap; only the output may grow with C(n, k)
         x = np.sort(np.random.default_rng(30).normal(size=30))
-        chunk = 4096
+        cap = 4096
 
         def evaluate(x):
             out, at = np.empty(math.comb(x.size, 6)), 0
-            for rows in _exact_rows(x, 6, chunk):
+            for rows in _exact_rows(x, 6, cap, cap):
                 out[at:at + rows.shape[0]] = kernel_values(rows, 6)
                 at += rows.shape[0]
             return out
@@ -157,7 +168,24 @@ class TestExactBuild:
         finally:
             tracemalloc.stop()
         assert out.size == math.comb(30, 6)
-        assert peak - out.nbytes <= 4 * chunk * 6 * 8
+        assert peak - out.nbytes <= 4 * cap * 6 * 8
+
+    def test_build_holds_the_output_the_level_table_and_one_tile(self):
+        # C(60, 4) = 487635 rows exceed the level-4 cap, so they come in blocks
+        # of 3-subsets of range(j), j < 60, below x_j: one level-3 table of
+        # C(59, 3) rows of 3 values, and tiles of 8192 rows packed from it
+        k = 4
+        x = np.random.default_rng(4).normal(size=60)
+        build_pseudosample(x, k)  # warm caches
+        tracemalloc.start()
+        try:
+            out = build_pseudosample(x, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.size == math.comb(60, 4) > _TABLE_CELLS // k
+        table = 3 * math.comb(59, 3) * 8
+        assert peak - out.nbytes - table <= 4 * _TILE * k * 8
 
     def test_budget_exceeded(self):
         with pytest.raises(CapacityError):
@@ -191,12 +219,12 @@ class TestIndexCache:
     def test_rows_are_the_colex_subsets_as_the_cache_grows_and_shrinks(self):
         # each call reads its own prefix of the one table per level, however
         # far earlier calls grew it; on x = 0..n-1 the rows are the index tuples.
-        # C(21, 6) rows are one gather at chunk 10**6 but split at _CHUNK
+        # C(21, 6) rows are one gather at cap 10**6 but split at _TABLE_CELLS
         for n, k in ((14, 6), (21, 6), (9, 6)):
             want = np.array(sorted(combinations(range(n), k), key=lambda c: c[::-1]))
-            for chunk in (1, 7, _CHUNK, 10**6):
-                got = np.vstack(exact_rows(np.arange(float(n)), k, chunk))
-                assert np.array_equal(got, want), (n, k, chunk)
+            for cap in (1, 7, _TABLE_CELLS, 10**6):
+                got = np.vstack(exact_rows(np.arange(float(n)), k, cap))
+                assert np.array_equal(got, want), (n, k, cap)
 
     def test_samples_of_one_size_share_one_table(self):
         rng = np.random.default_rng(3)
@@ -206,19 +234,19 @@ class TestIndexCache:
         assert pseudosample._COLEX[6] is table
         assert not table.flags.writeable
 
-    def test_tables_stay_within_the_chunk_bound(self):
+    def test_tables_stay_within_the_cap(self):
         # n_k is the largest n whose C(n, k) rows are one gather, which takes
         # level k to its cap; n_k + 1 and n_k + 4 split into lower levels
         for k in range(2, 13):
-            n_k = max(n for n in range(k, 600) if math.comb(n, k) <= _CHUNK // k)
+            n_k = max(n for n in range(k, 600) if math.comb(n, k) <= _TABLE_CELLS // k)
             for n in (n_k, n_k + 1, n_k + 4):
-                for _ in _exact_rows(np.arange(float(n)), k, _CHUNK):
+                for _ in _exact_rows(np.arange(float(n)), k):
                     pass
         tables = pseudosample._COLEX
         assert sorted(tables) == list(range(1, 13))
         for q, table in tables.items():
             assert table.dtype == np.uint16 and table.shape[0] == q
-            assert table.shape[1] <= _CHUNK // q, q
+            assert table.shape[1] <= _TABLE_CELLS // q, q
             assert table.max() <= 511
         # every level reached its cap: the worst case the module documents
         assert sum(table.nbytes for table in tables.values()) == 4_776_450
@@ -228,14 +256,14 @@ class TestKernelTiles:
     @pytest.mark.parametrize("plan", [ExactPlan(), MonteCarloPlan(20_000, 5)],
                              ids=["exact", "monte-carlo"])
     @pytest.mark.parametrize("n, k", [(50, 3), (20, 5)])
-    def test_chunks_around_the_kernel_tile_change_no_bit(self, plan, n, k):
+    def test_tiles_around_the_kernel_tile_change_no_bit(self, plan, n, k):
         # C(50, 3) = 19600 and C(20, 5) = 15504 rows span several kernel tiles;
         # exact rows are gathered that many at a time, drawn rows split after
         x = np.random.default_rng(n).lognormal(size=n)
         want = build_pseudosample(x, k, plan)
         for chunk in (1, _TILE - 1, _TILE + 1):
             if isinstance(plan, ExactPlan):
-                blocks = exact_rows(x, k, chunk)
+                blocks = exact_rows(x, k, chunk, chunk)
             else:
                 (drawn,) = drawn_blocks(x, k, plan)  # one block of draws
                 blocks = [drawn[a:a + chunk] for a in range(0, plan.draws, chunk)]
@@ -258,7 +286,8 @@ class TestMonteCarloBuild:
         x = np.sort(np.random.default_rng(6).normal(size=25))
         plan = MonteCarloPlan(draws=600_000, seed=7)
         tiles = [rows.shape[0] for rows in _monte_carlo_rows(x, 3, plan)]
-        assert tiles == [_MC_TILE] * 18 + [600_000 - (1 << 19) - 2 * _MC_TILE]
+        last = 600_000 - (1 << 19)
+        assert tiles == [_TILE] * (2 * _MC_BLOCK // _TILE + last // _TILE) + [last % _TILE]
         blocks = drawn_blocks(x, 3, plan)
         assert [rows.shape[0] for rows in blocks] == [1 << 18, 1 << 18, 600_000 - (1 << 19)]
         (first,) = drawn_blocks(x, 3, MonteCarloPlan(draws=1 << 18, seed=7))
@@ -267,7 +296,8 @@ class TestMonteCarloBuild:
 
     def test_working_memory_is_bounded_by_the_tile(self):
         # beyond the output and the sorted sample, a block of draws holds its
-        # k rows of 4-byte indices and gathers one tile of rows at a time
+        # k rows of 4-byte indices (and, while drawing, the row rng.integers
+        # returns before it is copied in) and gathers one tile of rows at a time
         x = np.random.default_rng(31).normal(size=100_000)
         k = 4
         build_pseudosample(x[:50], k, MonteCarloPlan(1000))  # warm caches
@@ -277,7 +307,7 @@ class TestMonteCarloBuild:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - out.nbytes - x.nbytes <= 4 * k * _MC_BLOCK + 4 * _MC_TILE * k * 8
+        assert peak - out.nbytes - x.nbytes <= 4 * (k + 1) * _MC_BLOCK + 2 * _TILE * k * 8
 
     def test_different_seeds_differ(self):
         x = np.random.default_rng(5).normal(size=25)
@@ -300,7 +330,7 @@ class TestMonteCarloBuild:
     def test_index_sampler_uniformity(self):
         # every pair of a 5-point sample appears with roughly equal frequency
         rng = np.random.default_rng(42)
-        sel = _sample_index_combinations(rng, 5, 2, 100_000)
+        sel = index_combinations(rng, 5, 2, 100_000)
         assert np.all(sel[:, 0] < sel[:, 1])
         pairs, counts = np.unique(sel, axis=0, return_counts=True)
         assert len(pairs) == 10
@@ -325,21 +355,21 @@ class TestMonteCarloBuild:
             sel.sort(axis=1)
             return sel
 
-        got = _sample_index_combinations(np.random.default_rng(seed), n, k, m)
+        got = index_combinations(np.random.default_rng(seed), n, k, m)
         want = reference(np.random.default_rng(seed), n, k, m)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
 
     @settings(max_examples=20, deadline=None)
     @given(k=st.integers(2, 12), n=st.integers(2, 10**5),
-           m=st.sampled_from([1, _MC_TILE - 1, _MC_TILE + 1, 2 * _MC_TILE + 1, _MC_BLOCK]),
+           m=st.sampled_from([1, _TILE - 1, _TILE + 1, 2 * _TILE + 1, _MC_BLOCK]),
            seed=st.integers(0, 2**32))
     @example(k=12, n=12, m=_MC_BLOCK, seed=0)
     @example(k=12, n=10**5, m=_MC_BLOCK, seed=1)
-    @example(k=2, n=2, m=2 * _MC_TILE + 1, seed=2)
+    @example(k=2, n=2, m=2 * _TILE + 1, seed=2)
     def test_tiled_sampler_matches_the_block_sampler(self, k, n, m, seed):
         n = max(n, k)
-        got = _sample_index_combinations(np.random.default_rng(seed), n, k, m)
+        got = index_combinations(np.random.default_rng(seed), n, k, m)
         want = block_sampler(np.random.default_rng(seed), n, k, m)
         assert got.dtype == np.int32 and got.shape == (m, k)
         assert np.array_equal(got, want)
@@ -349,8 +379,8 @@ class TestMonteCarloBuild:
     def test_indices_widen_to_8_bytes_from_n_2_31(self, n, dtype):
         # rng.integers allocates nothing of size n, so n itself may be huge
         for k in (2, 5, 12):
-            got = _sample_index_combinations(np.random.default_rng(k), n, k, _MC_TILE + 1)
-            want = block_sampler(np.random.default_rng(k), n, k, _MC_TILE + 1)
+            got = index_combinations(np.random.default_rng(k), n, k, _TILE + 1)
+            want = block_sampler(np.random.default_rng(k), n, k, _TILE + 1)
             assert got.dtype == dtype
             assert np.array_equal(got, want)
 
