@@ -24,6 +24,7 @@ import functools
 import io
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -66,17 +67,25 @@ def _parse_family_arg(spec: str):
 # ASCII whitespace other than "\n"; text mode has already turned every "\r" into "\n"
 _INNER_SPACE = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
+# Characters of text the bulk pass tokenizes at once, up to the next "\n".
+_PIECE = 1 << 16
+
+# Blank lines, then the first non-blank one from its first non-space character:
+# \s is the whitespace str.strip takes
+_FIRST_LINE = re.compile(r"\s*([^\n]*)")
+
 
 def _read_reals(path: str) -> np.ndarray:
     """Parse newline- or comma-separated reals; tolerate one header line.
 
     Each value is Python's ``float`` of one comma field.  Plain data (ASCII
     with no whitespace but newlines) is parsed in one bulk pass, where each
-    whitespace token is one field.  Other text, or a field ``float`` rejects,
-    takes the line loop: it skips blank lines, keeps a line only when all its
-    fields parse, skips one leading header and names any later bad line as
-    ``path:lineno`` (lines split on "\\n" only, as ``readlines`` splits).
-    Unreadable and non-UTF-8 files raise ``_InputError``.
+    whitespace token is one field; so is the plain rest of a file whose first
+    non-blank line ``float`` rejects (a header).  Beyond the text, the bulk
+    pass holds its output (one double per newline or comma) and one piece of
+    about ``_PIECE`` characters with its tokens.  Other text, or any later
+    field ``float`` rejects, takes ``_line_reals``.  Unreadable and non-UTF-8
+    files raise ``_InputError``.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -85,13 +94,56 @@ def _read_reals(path: str) -> np.ndarray:
         raise _InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise _InputError(f"{path}: {exc}") from exc
-    if data.isascii() and not any(c in data for c in _INNER_SPACE):
-        tokens = data.replace(",", "\n").split()
+    values = _bulk_reals(data, 0)
+    if values is None and (rest := _after_header(data)) is not None:
+        values = _bulk_reals(data, rest)
+    if values is not None and values.size:
+        return values
+    return _line_reals(path, data)  # a bad line, text that is not plain, or no data
+
+
+def _fields(text: str) -> list[float]:
+    """``float`` of each non-blank comma field of one line; ValueError if one is rejected."""
+    return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _bulk_reals(data: str, start: int) -> np.ndarray | None:
+    """Every field of data[start:] when that text is plain and ``float`` takes each
+    field, else None.  Pieces of ``_PIECE`` characters, each cut at the "\\n" after
+    it, are tokenized one at a time into an array of one double per separator."""
+    out = np.empty(data.count("\n", start) + data.count(",", start) + 1)
+    size = 0
+    while start < len(data):
+        end = data.find("\n", start + _PIECE)
+        end = len(data) if end < 0 else end
+        piece = data[start:end]
+        if not piece.isascii() or any(c in piece for c in _INNER_SPACE):
+            return None
+        tokens = piece.replace(",", "\n").split()
         try:
-            if tokens:
-                return np.fromiter(map(float, tokens), np.float64, len(tokens))
+            out[size:size + len(tokens)] = np.fromiter(map(float, tokens), np.float64, len(tokens))
         except ValueError:
-            pass  # a header or a bad line: the loop decides which
+            return None
+        size += len(tokens)
+        start = end + 1
+    return out[:size]
+
+
+def _after_header(data: str) -> int | None:
+    """The index just past the first non-blank line when ``float`` rejects it (a
+    header); None when that line parses or there is none."""
+    line = _FIRST_LINE.match(data)
+    try:
+        _fields(line[1])
+    except ValueError:
+        return line.end() + 1
+    return None
+
+
+def _line_reals(path: str, data: str) -> np.ndarray:
+    """The line loop: it skips blank lines, keeps a line only when all its fields
+    parse, skips one leading header and names any later bad line as
+    ``path:lineno`` (lines split on "\\n" only, as ``readlines`` splits)."""
     values: list[float] = []
     first = True  # a single leading header line is allowed
     for lineno, line in enumerate(data.split("\n"), start=1):
@@ -99,7 +151,7 @@ def _read_reals(path: str) -> np.ndarray:
         if not text:
             continue
         try:  # a whole line parses before any of it is kept
-            row = [float(tok) for tok in text.split(",") if tok.strip()]
+            row = _fields(text)
         except ValueError:
             if first:
                 first = False

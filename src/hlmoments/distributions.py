@@ -45,6 +45,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import ArgumentError, _instance, _integer, _real, _reals
+from .kernels import _TILE
 from .records import Record
 
 __all__ = [
@@ -98,6 +99,8 @@ _A_MAX = 1e4
 _S_LOW, _S_HIGH = math.log(2.0**-60), math.log(0.5)
 _NODES = 2048
 _CERTIFY = 2.0**-60
+# The table's starts need log Gamma(a + 1), a double up to a = 2.56e305.
+_SHAPE_MAX = 2.5e305
 
 
 def _gamma_function(v: float) -> float:
@@ -141,7 +144,8 @@ def _prefactor(a: float, x: np.ndarray, log_x: np.ndarray) -> np.ndarray:
     # keeps phi's bits, where the terms of a log x - x - log Gamma(a) cancel
     d = (x - a) / a
     log_t = np.where(d < -0.5, np.log(x / a), np.log1p(np.maximum(d, -0.5)))
-    mu = sum(c / a ** (2 * i + 1) for i, c in enumerate(_STIRLING))
+    # from a = 2^53 on, mu < 2^-55 and e^-mu rounds to 1; there a^7 may overflow
+    mu = sum(c / a ** (2 * i + 1) for i, c in enumerate(_STIRLING)) if a < 2.0**53 else 0.0
     return math.sqrt(a / (2.0 * math.pi)) * math.exp(-mu) * np.exp(a * (log_t - d))
 
 
@@ -284,6 +288,8 @@ def _gammaincinv(a: float, u, q=None) -> np.ndarray:
     from ``_pq``.  u = 0 gives 0 and q = 0 gives inf; scipy's inverses take
     tails below the table and any value the step cannot certify.
     """
+    if not a <= _SHAPE_MAX:
+        raise ArgumentError(f"shape={a:g} is too large: log Gamma(shape + 1) overflows a double")
     u = np.asarray(u, dtype=np.float64)
     flat = u.ravel()
     q = 1.0 - flat if q is None else np.asarray(q, dtype=np.float64).ravel()
@@ -340,12 +346,26 @@ class Family:
     def _q(self, p: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _tiled_q(self, p: np.ndarray) -> np.ndarray:
+        """``_q`` of p, one ``_TILE`` of lanes at a time into one output array, so its
+        temporaries stay tile-sized; every ``_q`` is elementwise, so no bit changes.
+        A quantile beyond a double raises instead of giving inf."""
+        out = np.empty(p.shape)
+        flat_p, flat_out = p.reshape(-1), out.reshape(-1)
+        with np.errstate(over="ignore"):
+            for a in range(0, flat_p.size, _TILE):
+                tile = flat_out[a:a + _TILE]
+                tile[...] = self._q(flat_p[a:a + _TILE])
+                if not np.isfinite(tile).all():
+                    raise ArgumentError(f"{self.label}: quantiles overflow a double")
+        return out
+
     def quantile(self, p):
         """Quantile function Q(p) for p strictly inside (0, 1)."""
         arr = _reals("p", p)
         if (arr <= 0).any() or (arr >= 1).any():
             raise ArgumentError("quantile probabilities must lie strictly in (0, 1)")
-        out = self._q(arr)
+        out = self._tiled_q(arr)
         return float(out) if arr.ndim == 0 else out
 
     def cdf(self, x):  # x may be +-inf: cdf(-inf) is 0, cdf(inf) is 1
@@ -370,11 +390,15 @@ class Family:
         raise NotImplementedError
 
     def sample(self, n: int, seed) -> np.ndarray:
-        """n i.i.d. draws by inverse transform; fixed by seed, an int >= 0 or a SeedSequence."""
+        """n i.i.d. draws by inverse transform; fixed by seed, an int >= 0 or a SeedSequence.
+
+        Beyond the n draws it holds their n uniforms and one tile of 8192 lanes
+        of the quantile's temporaries.
+        """
         n = _integer("n", n, 1)
         if not isinstance(seed, np.random.SeedSequence):
             seed = _integer("seed", seed, 0)
-        return self._q(_open_unit(np.random.default_rng(seed), n))
+        return self._tiled_q(_open_unit(np.random.default_rng(seed), n))
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -504,10 +528,11 @@ class GeneralizedGaussian(Family):
 
     def _q(self, p):
         # |Z|^beta is gamma(1/beta) distributed; its upper tail 2 min(p, 1 - p) is
-        # exact, where 1 - tail = |2p - 1| would drop the low bits of a small p
-        tail = 2.0 * np.minimum(p, 1.0 - p)
-        with np.errstate(over="ignore"):
-            z = _gammaincinv(1.0 / self.beta, 1.0 - tail, tail) ** (1.0 / self.beta)
+        # exact, where 1 - tail = |2p - 1| would drop the low bits of a small p.  The
+        # power overflows to inf under _tiled_q's errstate; past _SHAPE_MAX (or at
+        # 1 / beta = inf) all but the median would, so none is taken
+        tail, shape = 2.0 * np.minimum(p, 1.0 - p), 1.0 / self.beta
+        z = _gammaincinv(shape, 1.0 - tail, tail) ** shape if shape <= _SHAPE_MAX else np.inf
         if not np.isfinite(z).all():
             raise ArgumentError(f"beta={self.beta:g} is too small: quantiles overflow a double")
         return self.mu + self.sigma * np.where(p >= 0.5, z, -z)
@@ -617,7 +642,7 @@ def _qa_levels(eps, gamma) -> tuple[float, float]:
 
 def _qa(family: Family, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """QA and the larger |Q| at each checked level pair (lo, hi), from one quantile call."""
-    q = family._q(np.stack([lo, hi]))
+    q = family._tiled_q(np.stack([lo, hi]))
     return 0.5 * (q[0] + q[1]), np.abs(q).max(axis=0)
 
 

@@ -5,8 +5,9 @@ every gathered row is ascending already.  Exact mode gathers all C(n, k)
 combinations in colexicographic blocks through data-independent index tables
 cached for the process (4 776 450 bytes at worst).  Monte Carlo mode draws
 combinations uniformly with replacement, one RNG substream per block of 2^18
-draws, so the result depends only on (sample, draws, seed); a block is held
-as k rows of 4-byte indices.  Both modes gather rows one kernel tile at a time.
+draws, so the result depends only on (sample, draws, seed); one block at a
+time is held, as k rows of 4-byte indices.  Both modes gather rows one kernel
+tile at a time.
 
 The returned pseudo-sample is sorted ascending with -0.0 normalized to +0.0,
 making it bit-reproducible.
@@ -83,8 +84,9 @@ class MonteCarloPlan:
     """Draw ``draws`` combinations uniformly with replacement, seeded.
 
     Beyond the ``draws`` output values it holds one block of 2^18 draws as
-    k rows of 4-byte indices (4 * k * 2^18 bytes) and one tile of 8192 rows
-    of k values; the kernel's own temporaries are tile-sized too.
+    k rows of 4-byte indices (4 * k * 2^18 bytes, and one more row while a
+    row is drawn), released before the next block is drawn, and one tile of
+    8192 rows of k values; the kernel's own temporaries are tile-sized too.
     """
 
     draws: int
@@ -139,11 +141,13 @@ def _monte_carlo_rows(x: np.ndarray, k: int, plan: MonteCarloPlan):
 
     Block b of _MC_BLOCK draws comes from its own substream keyed by
     (seed, b), so the stream is fixed by (n, k, plan.draws, plan.seed) alone.
+    One block of indices is alive at a time.
     """
     for block, start in enumerate(range(0, plan.draws, _MC_BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(block,)))
         for tile in _sample_index_combinations(rng, x.size, k, min(_MC_BLOCK, plan.draws - start)):
             yield x[tile].T
+        del tile  # a view of the finished block: it would keep it alive while the next is drawn
 
 
 def _colex(q: int, m: int) -> np.ndarray:

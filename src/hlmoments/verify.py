@@ -60,7 +60,7 @@ def _shape_args(family, width, n_draws, seed, bins) -> tuple[int, int, int, np.n
     n_draws, seed = _integer("n_draws", n_draws, 2), _integer("seed", seed, 0)
     nbins = math.ceil(2.0 * n_draws ** (1.0 / 3.0)) if bins is None else _integer("bins", bins, 1)
     u = _open_unit(np.random.default_rng(np.random.SeedSequence(seed)), (n_draws, width))
-    return n_draws, seed, nbins, family._q(u)
+    return n_draws, seed, nbins, family._tiled_q(u)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from hypothesis import strategies as st
 
 import hlmoments
 from hlmoments import TrimSpec, hl_standardized_moment
-from hlmoments.cli import _InputError, _read_reals, main
+from hlmoments import cli
+from hlmoments.cli import _PIECE, _InputError, _read_reals, main
 
 
 def run_cli(capsys, argv):
@@ -92,6 +95,24 @@ class TestEstimate:
         code, _, err = run_cli(capsys, ["tsd", "--input", path])
         assert code == 2
         assert f"{path}:3: cannot parse '2.0,x' as reals" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "gamma(2,1e308)"], "gamma(shape=2, scale=1e+308): quantiles overflow a double"),
+        (["--family", "gamma(1e50,1)", "--standardized"],
+         "variance estimate 0.0 is not positive; sample is degenerate"),
+        (["--family", "gamma(3e305,1)"], "shape=3e+305 is too large: log Gamma(shape + 1) "
+                                         "overflows a double"),
+        (["--family", "gengauss(0,1,1e-300)"], "beta=1e-300 is too small: quantiles overflow a double"),
+    ], ids=["scale-1e308", "shape-1e50-standardized", "shape-3e305", "beta-1e-300"])
+    def test_family_draws_beyond_a_double_are_domain_errors(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, ["estimate", *argv, "--k", "4"])
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    def test_a_huge_gamma_shape_draws_its_mean(self, capsys):
+        # every draw of gamma(1e50) rounds to 1e50, so the central moment is 0
+        code, out, err = run_cli(capsys, ["estimate", "--family", "gamma(1e50,1)", "--k", "3"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == 0.0
 
     def test_missing_source_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, ["estimate", "--k", "2"])
@@ -206,21 +227,63 @@ class TestReadReals:
         except _InputError as exc:
             return str(exc)
 
+    # the bulk pass cuts the text into pieces of at least ``piece`` characters
     @settings(max_examples=200, deadline=None)
-    @given(text=_INPUT_TEXTS)
-    @example(text="")
-    @example(text="0,1,2\n")
-    @example(text="x\n0\n1\n2\n\n")
-    @example(text="1,2\nbogus line\n3,4\n")
-    @example(text="7,label\n1.0\n2.0,x\n4.0\n")
-    @example(text="\ufeff1\n2\n")
-    @example(text="1\r\n,\r\n\r\n2,\r\n")
-    @example(text="1_000,inf,nan,-0.0,-nan\n")
-    @example(text="\xa01\n2\n")
-    def test_same_values_and_messages_as_the_line_loop(self, tmp_path_factory, text):
+    @given(text=_INPUT_TEXTS, piece=st.sampled_from([1, 2, 3, 7, 16, _PIECE]))
+    @example(text="", piece=_PIECE)
+    @example(text="0,1,2\n", piece=_PIECE)
+    @example(text="x\n0\n1\n2\n\n", piece=_PIECE)
+    @example(text="x\n0\n1\n2\n\n", piece=1)
+    @example(text="1,2\nbogus line\n3,4\n", piece=_PIECE)
+    @example(text="7,label\n1.0\n2.0,x\n4.0\n", piece=_PIECE)
+    @example(text="\ufeff1\n2\n", piece=_PIECE)
+    @example(text="1\r\n,\r\n\r\n2,\r\n", piece=_PIECE)
+    @example(text="1_000,inf,nan,-0.0,-nan\n", piece=_PIECE)
+    @example(text="\xa01\n2\n", piece=_PIECE)
+    @example(text="a,b\r\n1,2\r\n\r\n3,\r\n", piece=2)
+    @example(text="a,b\n1,2\nbogus\n3\n", piece=3)  # a later bad line is named path:4
+    @example(text="\nx,y\r\n1,2\r\n3,oops\r\n", piece=16)
+    @example(text="value\nlabel\n1\n", piece=1)
+    def test_same_values_and_messages_as_the_line_loop(self, tmp_path_factory, text, piece):
         path = tmp_path_factory.getbasetemp() / "read_reals.csv"
         path.write_bytes(text.encode("utf-8"))
-        assert self.outcome(_read_reals, str(path)) == self.outcome(self.reference, str(path))
+        with mock.patch.object(cli, "_PIECE", piece):
+            got = self.outcome(_read_reals, str(path))
+        assert got == self.outcome(self.reference, str(path))
+
+    @pytest.mark.parametrize("text", [
+        "value\n1\n2.5\n-3\n",
+        "\n\n  \nx,y\n1,2\n\n3,4,\n",
+        "sample value\r\n1,2\r\n\r\n3\r\n",
+        "\u00e9t\u00e9\n7\n8,9\n",
+        "a,b\n" + "\n".join(map(repr, np.linspace(-1.0, 1.0, 5000).tolist())) + "\n",
+    ], ids=["one-column", "blank-lines-and-commas", "crlf-and-inner-space", "non-ascii", "long"])
+    def test_a_header_file_takes_the_bulk_pass(self, datafile, text):
+        # the rest of the file after its header is plain, so the line loop never runs
+        path = datafile(text)
+        want = self.reference(path)
+        with mock.patch.object(cli, "_line_reals", side_effect=AssertionError("line loop")):
+            got = _read_reals(path)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("header", ["", "value\n"], ids=["plain", "header"])
+    def test_working_memory_is_the_text_the_output_and_one_piece(self, datafile, header):
+        # reading holds the file's bytes and its text at once (2 bytes a character
+        # here); the bulk pass holds the text, its output and one piece of _PIECE
+        # characters with its tokens (some 9 bytes a character for 19-character
+        # tokens); the whole-file token list held some 5 bytes a character
+        values = np.random.default_rng(0).lognormal(0.0, 1.0, 100_000)
+        path = datafile(header + "\n".join(map(repr, values.tolist())) + "\n")
+        text = os.path.getsize(path)  # ASCII: one byte a character
+        _read_reals(path)  # warm caches
+        tracemalloc.start()
+        try:
+            out = _read_reals(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.tobytes() == values.tobytes()
+        assert peak <= max(2 * text, text + out.nbytes + 16 * _PIECE) + _PIECE
 
     @pytest.mark.parametrize("space", list(" \t\x0b\x0c\x1c\x1d\x1e\x1f\xa0\u2028\u3000"),
                              ids=lambda c: f"U+{ord(c):04X}")

@@ -1,6 +1,8 @@
 """Families, quantile averages, and congruence verdicts."""
 
 import math
+import re
+import tracemalloc
 import warnings
 from dataclasses import dataclass, replace
 
@@ -34,8 +36,10 @@ from hlmoments.distributions import (
     _EPS_MACH,
     _STIRLING_A,
     _gammaincinv,
+    _open_unit,
     _pq,
 )
+from hlmoments.kernels import _TILE
 
 ALL_FAMILIES = [
     Weibull(1.0, 1.0),
@@ -401,6 +405,85 @@ class TestSampling:
         x = f.sample(200_000, 11)
         for p in (0.1, 0.5, 0.9):
             assert np.mean(x <= f.quantile(p)) == pytest.approx(p, abs=5e-3)
+
+
+# every family, gamma shapes on both sides of the Stirling seam up to the last
+# tabulated one, and scales near the double limit
+TILED_FAMILIES = ALL_FAMILIES + [
+    Gamma(30.0), Gamma(50.0), Gamma(1e3), Gamma(9999.0),
+    Gamma(2.0, 1e300), Weibull(1.0, 1e300), GeneralizedGaussian(0.0, 1e300, 2.0),
+]
+
+
+class TestTiledQuantiles:
+    """Quantiles run one _TILE of lanes at a time, with the bits of one whole-array call."""
+
+    @pytest.mark.parametrize("n", [1, _TILE - 1, _TILE + 1, 100_000])
+    @pytest.mark.parametrize("family", TILED_FAMILIES, ids=lambda f: f.label)
+    def test_draws_keep_the_bits_of_one_whole_array_quantile(self, family, n):
+        whole = family._q(_open_unit(np.random.default_rng(5), n))
+        assert family.sample(n, 5).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("family", TILED_FAMILIES, ids=lambda f: f.label)
+    def test_quantile_keeps_the_bits_and_the_shape_of_the_input(self, family):
+        p = np.random.default_rng(6).random((3, _TILE + 5))
+        got = family.quantile(p)
+        assert got.shape == p.shape and got.tobytes() == family._q(p).tobytes()
+
+    @pytest.mark.parametrize("family", [GeneralizedGaussian(0.0, 1.0, 1.5), Gamma(0.5), Gamma(50.0),
+                                        LogNormal(0.0, 1.0), Weibull(1.5), Uniform()],
+                             ids=lambda f: f.label)
+    def test_sample_holds_the_uniforms_the_draws_and_one_tile(self, family):
+        # _open_unit holds n 53-bit integers and their n uniforms, then the quantiles
+        # hold the uniforms, the n draws and one tile of temporaries (some 25 doubles
+        # a lane for the gamma family); the whole-array call held 24 n doubles
+        n = 100_000
+        family.sample(10, 1)  # warm the quantile table and scipy's import
+        tracemalloc.start()
+        try:
+            out = family.sample(n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.size == n
+        assert peak <= 2 * 8 * n + 32 * 8 * _TILE
+
+    @pytest.mark.parametrize("family", [GeneralizedGaussian(0.0, 1e308, 2.0), Weibull(1.0, 1e308),
+                                        Gamma(2.0, 1e308), Pareto(1e-3), Uniform(-1e308, 1e308)],
+                             ids=lambda f: f.label)
+    def test_quantiles_beyond_a_double_raise_naming_the_family(self, family):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentError, match=rf"^{re.escape(family.label)}: quantiles overflow"):
+                family.sample(1000, 1)
+            with pytest.raises(ArgumentError, match=re.escape(family.label)):
+                family.quantile(0.9999)
+            with pytest.raises(ArgumentError, match="quantiles overflow a double"):
+                congruence_check(family, family.param_names[1])
+
+    @pytest.mark.parametrize("a", [1e20, 1e50, 2e305])
+    def test_huge_shapes_draw_their_mean(self, a):
+        # the relative spread a^-1/2 is far below an ulp, and the Stirling terms of
+        # log Gamma(a) are below 2^-55, where a^7 may overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x = Gamma(a).sample(10, 1)
+            pre = _pq(a, np.array([a]))[2]
+        np.testing.assert_allclose(x, a, rtol=1e-9)
+        np.testing.assert_allclose(pre, math.sqrt(a / (2.0 * math.pi)), rtol=1e-12)
+
+    @pytest.mark.parametrize("family, message", [
+        (Gamma(3e305), "shape=3e+305 is too large"),
+        (Gamma(1.7e308), "shape=1.7e+308 is too large"),
+        (GeneralizedGaussian(0.0, 1.0, 1e-300), "beta=1e-300 is too small"),
+        (GeneralizedGaussian(0.0, 1.0, 1e-320), "beta=9.99989e-321 is too small"),
+    ], ids=["gamma-3e305", "gamma-1.7e308", "beta-1e-300", "beta-1e-320"])
+    def test_shapes_beyond_the_table_raise(self, family, message):
+        # log Gamma(a + 1) overflows from a = 2.56e305, and 1 / 1e-320 is inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentError, match=f"^{re.escape(message)}"):
+                family.sample(10, 1)
 
 
 class TestQuantileAverage:

@@ -1,5 +1,6 @@
 """Combination counts and pseudo-sample construction."""
 
+import hashlib
 import math
 import tracemalloc
 from itertools import combinations
@@ -308,6 +309,33 @@ class TestMonteCarloBuild:
         finally:
             tracemalloc.stop()
         assert peak - out.nbytes - x.nbytes <= 4 * (k + 1) * _MC_BLOCK + 2 * _TILE * k * 8
+
+    def test_two_blocks_hold_one_block_of_indices(self):
+        # the finished block is released before the next one is drawn, so the
+        # bound of one block holds across blocks; holding both took 4 (2k + 1) _MC_BLOCK
+        x = np.random.default_rng(31).normal(size=100_000)
+        k = 4
+        build_pseudosample(x[:50], k, MonteCarloPlan(1000))  # warm caches
+        tracemalloc.start()
+        try:
+            out = build_pseudosample(x, k, MonteCarloPlan(2 * _MC_BLOCK))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes - x.nbytes <= 4 * (k + 1) * _MC_BLOCK + 2 * _TILE * k * 8
+
+    @pytest.mark.parametrize("k, want", [
+        (2, "929fd249d6c5d87de90857f7e02fefab6a3210667c174e76efdcdad511f61f55"),
+        (4, "bccf2de97a98e8f9ff7632b74f5ee4353d944b6521c86ce2505e6d7f0e0b236f"),
+        (12, "1d74d1c02848de43f1aa677781ed0d68590a16a17e8db6172d258539b11b3722"),
+    ])
+    def test_three_block_digest_is_pinned(self, k, want):
+        # 2 _MC_BLOCK + 1000 draws: two full blocks and a partial one; the sample is
+        # exact arithmetic on seeded integers and uniforms, so the digest is portable
+        rng = np.random.default_rng(300 + k)
+        x = rng.random(1000) * 8.0 - 3.0 + rng.integers(0, 4, size=1000)
+        out = build_pseudosample(x, k, MonteCarloPlan(2 * _MC_BLOCK + 1000, seed=k))
+        assert hashlib.sha256(out.tobytes()).hexdigest() == want
 
     def test_different_seeds_differ(self):
         x = np.random.default_rng(5).normal(size=25)

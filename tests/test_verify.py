@@ -6,14 +6,17 @@ R = 1000) live in test_acceptance.py; here the probes run small and fast.
 
 import json
 import math
+import tracemalloc
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from hlmoments import (
     ArgumentError,
     CongruenceVerdict,
     EquivarianceReport,
+    Gamma,
     McConsistencyReport,
     MomentEstimate,
     MonteCarloPlan,
@@ -33,6 +36,9 @@ from hlmoments import (
     support_bound_probe,
     variance_comparison,
 )
+from hlmoments.distributions import _open_unit
+from hlmoments.kernels import _TILE
+from hlmoments.verify import _shape_args
 
 # one hand-built instance of each frozen report record
 RECORDS = [
@@ -123,6 +129,21 @@ class TestKernelShapeProbe:
     def test_k_restricted(self):
         with pytest.raises(ArgumentError):
             kernel_shape_probe(normal(0.0, 1.0), 5, n_draws=1000)
+
+    def test_draws_hold_the_uniforms_and_one_tile_of_quantile_temporaries(self):
+        # n x k draws are quantiles of n x k uniforms, one _TILE of lanes at a time,
+        # with the bits of one whole-array call; that call held 24 doubles a lane
+        n, k, f = 100_000, 3, Gamma(2.0)
+        _shape_args(f, k, 10, 1, None)  # warm the quantile table
+        tracemalloc.start()
+        try:
+            x = _shape_args(f, k, n, 1, None)[3]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        u = _open_unit(np.random.default_rng(np.random.SeedSequence(1)), (n, k))
+        assert x.tobytes() == f._q(u).tobytes()
+        assert peak <= 2 * 8 * n * k + 32 * 8 * _TILE
 
     @pytest.mark.parametrize("bins", [0, -3, 2.5, "10", True])
     def test_bins_must_be_a_positive_integer(self, bins):
