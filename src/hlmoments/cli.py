@@ -7,7 +7,7 @@ tsd         trimmed standard deviation (pairwise or symmetric form)
 congruence  quantile-average congruence verdict for a family parameter
 verify      run a named verification experiment and check its property
 
-Exit codes: 0 success, 2 usage or input parse failure, 3 domain error,
+Exit codes: 0 success, 2 usage error or a file not read, parsed or written, 3 domain error,
 4 capacity (exact enumeration over budget), 5 verification property failed.
 
 Input files are UTF-8 text: one real per line or comma-separated reals;
@@ -24,7 +24,6 @@ import functools
 import io
 import json
 import os
-import re
 import sys
 
 import numpy as np
@@ -53,7 +52,7 @@ EXIT_PROPERTY = 5
 
 
 class _InputError(Exception):
-    """Input file could not be parsed."""
+    """A usage or file error: bad arguments, or a file that cannot be read, parsed or written."""
 
 
 def _parse_family_arg(spec: str):
@@ -64,104 +63,95 @@ def _parse_family_arg(spec: str):
         raise _InputError(str(exc)) from exc
 
 
-# ASCII whitespace other than "\n"; text mode has already turned every "\r" into "\n"
+# ASCII whitespace other than "\n" (the reader turns every "\r" into "\n"): a piece
+# that holds one is not plain, and takes the line loop
 _INNER_SPACE = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
-# Characters of text the bulk pass tokenizes at once, up to the next "\n".
+# Bytes read, decoded and parsed at a time; each piece runs on to the next b"\n".
 _PIECE = 1 << 16
-
-# Blank lines, then the first non-blank one from its first non-space character:
-# \s is the whitespace str.strip takes
-_FIRST_LINE = re.compile(r"\s*([^\n]*)")
 
 
 def _read_reals(path: str) -> np.ndarray:
     """Parse newline- or comma-separated reals; tolerate one header line.
 
-    Each value is Python's ``float`` of one comma field.  Plain data (ASCII
-    with no whitespace but newlines) is parsed in one bulk pass, where each
-    whitespace token is one field; so is the plain rest of a file whose first
-    non-blank line ``float`` rejects (a header).  Beyond the text, the bulk
-    pass holds its output (one double per newline or comma) and one piece of
-    about ``_PIECE`` characters with its tokens.  Other text, or any later
-    field ``float`` rejects, takes ``_line_reals``.  Unreadable and non-UTF-8
-    files raise ``_InputError``.
+    Each value is Python's ``float`` of one comma field.  The file is read,
+    decoded and parsed in one pass, one piece of about ``_PIECE`` bytes at a
+    time, each cut after a b"\\n" (so a file whose lines end in "\\r" alone is
+    one piece); as in text mode, "\\r\\n" and "\\r" are read as "\\n".  A plain
+    piece (ASCII with no whitespace but newlines) whose every whitespace token
+    ``float`` takes is parsed in bulk, one field a token; any other piece, such
+    as the one holding a header, takes the line loop ``_line_reals``, which
+    carries from piece to piece whether a header may still come.  The reader
+    holds the output twice (its pieces, then their join) and one piece with its
+    tokens.  Unreadable and non-UTF-8 files raise ``_InputError``; a bad byte is
+    named by its offset in the file.
     """
+    arrays, lineno, header, at = [], 1, True, 0  # header: a header line may still come
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = fh.read()
+        with open(path, "rb") as fh:
+            while raw := fh.read(_PIECE) + fh.readline():
+                try:  # a piece ends at b"\n", inside no UTF-8 character
+                    piece = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise _InputError(f"{path}: {_decode_error(exc, at)}") from exc
+                if "\r" in piece:  # far cheaper than the two replaces, even with no "\r" to find
+                    piece = piece.replace("\r\n", "\n").replace("\r", "\n")
+                values = _bulk_reals(piece)
+                if values is None:
+                    values, header = _line_reals(path, piece, lineno, header)
+                else:  # in a plain piece only an empty line is blank
+                    header = header and piece.isspace()
+                arrays.append(values)
+                lineno += piece.count("\n")
+                at += len(raw)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise _InputError(f"{path}: {exc}") from exc
-    values = _bulk_reals(data, 0)
-    if values is None and (rest := _after_header(data)) is not None:
-        values = _bulk_reals(data, rest)
-    if values is not None and values.size:
-        return values
-    return _line_reals(path, data)  # a bad line, text that is not plain, or no data
+    values = np.concatenate(arrays) if arrays else np.empty(0)
+    if not values.size:
+        raise _InputError(f"{path}: no numeric data found")
+    return values
 
 
-def _fields(text: str) -> list[float]:
-    """``float`` of each non-blank comma field of one line; ValueError if one is rejected."""
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _decode_error(exc: UnicodeDecodeError, at: int) -> str:
+    """``str(exc)`` with its positions moved on by ``at``, the file offset of ``exc.object``."""
+    start, end = at + exc.start, at + exc.end
+    where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}" if end - start == 1
+             else f"bytes in position {start}-{end - 1}")
+    return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
 
 
-def _bulk_reals(data: str, start: int) -> np.ndarray | None:
-    """Every field of data[start:] when that text is plain and ``float`` takes each
-    field, else None.  Pieces of ``_PIECE`` characters, each cut at the "\\n" after
-    it, are tokenized one at a time into an array of one double per separator."""
-    out = np.empty(data.count("\n", start) + data.count(",", start) + 1)
-    size = 0
-    while start < len(data):
-        end = data.find("\n", start + _PIECE)
-        end = len(data) if end < 0 else end
-        piece = data[start:end]
-        if not piece.isascii() or any(c in piece for c in _INNER_SPACE):
-            return None
-        tokens = piece.replace(",", "\n").split()
-        try:
-            out[size:size + len(tokens)] = np.fromiter(map(float, tokens), np.float64, len(tokens))
-        except ValueError:
-            return None
-        size += len(tokens)
-        start = end + 1
-    return out[:size]
-
-
-def _after_header(data: str) -> int | None:
-    """The index just past the first non-blank line when ``float`` rejects it (a
-    header); None when that line parses or there is none."""
-    line = _FIRST_LINE.match(data)
+def _bulk_reals(piece: str) -> np.ndarray | None:
+    """Every field of a plain piece when ``float`` takes each, else None."""
+    if not piece.isascii() or any(c in piece for c in _INNER_SPACE):
+        return None
+    tokens = piece.replace(",", "\n").split()
     try:
-        _fields(line[1])
+        return np.fromiter(map(float, tokens), np.float64, len(tokens))
     except ValueError:
-        return line.end() + 1
-    return None
+        return None
 
 
-def _line_reals(path: str, data: str) -> np.ndarray:
-    """The line loop: it skips blank lines, keeps a line only when all its fields
-    parse, skips one leading header and names any later bad line as
-    ``path:lineno`` (lines split on "\\n" only, as ``readlines`` splits)."""
+def _line_reals(path: str, piece: str, lineno: int, header: bool) -> tuple[np.ndarray, bool]:
+    """The line loop over one piece whose first line is ``lineno``: it skips blank
+    lines, keeps a line only when all its fields parse, skips the header while
+    ``header`` says one may still come and names any other bad line as
+    ``path:lineno`` (lines split on "\\n" only, as ``readlines`` splits).  Returns
+    the piece's values and whether a header may still come after it."""
     values: list[float] = []
-    first = True  # a single leading header line is allowed
-    for lineno, line in enumerate(data.split("\n"), start=1):
+    for lineno, line in enumerate(piece.split("\n"), start=lineno):
         text = line.strip()
         if not text:
             continue
         try:  # a whole line parses before any of it is kept
-            row = _fields(text)
+            row = [float(tok) for tok in text.split(",") if tok.strip()]
         except ValueError:
-            if first:
-                first = False
+            if header:
+                header = False
                 continue
             raise _InputError(f"{path}:{lineno}: cannot parse {text!r} as reals")
         values.extend(row)
-        first = False
-    if not values:
-        raise _InputError(f"{path}: no numeric data found")
-    return np.asarray(values, dtype=np.float64)
+        header = False
+    return np.asarray(values, dtype=np.float64), header
 
 
 def _load_sample(args) -> np.ndarray:
@@ -231,8 +221,11 @@ def _emit(record: dict, args) -> None:
     if args.output is None:
         sys.stdout.write(body)
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(body)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(body)
+        except OSError as exc:
+            raise _InputError(f"cannot write {args.output}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -641,9 +641,13 @@ def _qa_levels(eps, gamma) -> tuple[float, float]:
 
 
 def _qa(family: Family, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """QA and the larger |Q| at each checked level pair (lo, hi), from one quantile call."""
+    """QA and the larger |Q| at each checked level pair (lo, hi), from one quantile call.
+    Each quantile is halved first only where their sum overflows, as ``lstat._midpoint``
+    does: halving a subnormal first would drop its last bit."""
     q = family._tiled_q(np.stack([lo, hi]))
-    return 0.5 * (q[0] + q[1]), np.abs(q).max(axis=0)
+    with np.errstate(over="ignore"):
+        total = q[0] + q[1]
+    return np.where(np.isfinite(total), 0.5 * total, 0.5 * q[0] + 0.5 * q[1]), np.abs(q).max(axis=0)
 
 
 def _qa_signs(family: Family, param: str, eps, gamma, h) -> np.ndarray:

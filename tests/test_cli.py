@@ -259,22 +259,24 @@ class TestReadReals:
         "a,b\n" + "\n".join(map(repr, np.linspace(-1.0, 1.0, 5000).tolist())) + "\n",
     ], ids=["one-column", "blank-lines-and-commas", "crlf-and-inner-space", "non-ascii", "long"])
     def test_a_header_file_takes_the_bulk_pass(self, datafile, text):
-        # the rest of the file after its header is plain, so the line loop never runs
+        # in 8-character pieces, the line loop sees only the piece holding the header:
+        # the rest of the file is plain and takes the bulk pass
         path = datafile(text)
+        header = next(line for line in text.splitlines() if line.strip()).strip()
         want = self.reference(path)
-        with mock.patch.object(cli, "_line_reals", side_effect=AssertionError("line loop")):
+        with (mock.patch.object(cli, "_PIECE", 8),
+              mock.patch.object(cli, "_line_reals", wraps=cli._line_reals) as loop):
             got = _read_reals(path)
+        assert loop.call_count == 1 and header in loop.call_args.args[1]
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("header", ["", "value\n"], ids=["plain", "header"])
     def test_working_memory_is_the_text_the_output_and_one_piece(self, datafile, header):
-        # reading holds the file's bytes and its text at once (2 bytes a character
-        # here); the bulk pass holds the text, its output and one piece of _PIECE
-        # characters with its tokens (some 9 bytes a character for 19-character
-        # tokens); the whole-file token list held some 5 bytes a character
+        # the reader holds no whole-file bytes or text: the pieces' arrays and their
+        # join (the output twice), and one piece of _PIECE characters with its tokens
+        # (some 9 bytes a character for 19-character tokens)
         values = np.random.default_rng(0).lognormal(0.0, 1.0, 100_000)
         path = datafile(header + "\n".join(map(repr, values.tolist())) + "\n")
-        text = os.path.getsize(path)  # ASCII: one byte a character
         _read_reals(path)  # warm caches
         tracemalloc.start()
         try:
@@ -283,7 +285,7 @@ class TestReadReals:
         finally:
             tracemalloc.stop()
         assert out.tobytes() == values.tobytes()
-        assert peak <= max(2 * text, text + out.nbytes + 16 * _PIECE) + _PIECE
+        assert peak <= 2 * out.nbytes + 16 * _PIECE
 
     @pytest.mark.parametrize("space", list(" \t\x0b\x0c\x1c\x1d\x1e\x1f\xa0\u2028\u3000"),
                              ids=lambda c: f"U+{ord(c):04X}")
@@ -298,6 +300,23 @@ class TestReadReals:
         assert (code, out) == (2, "")
         assert err == (f"error: {path}: 'utf-8' codec can't decode byte 0xe9 in position 4: "
                        "invalid continuation byte\n")
+
+    @pytest.mark.parametrize("at", [_PIECE + 2, 2 * _PIECE + 1], ids=["second-piece", "at-a-cut"])
+    @pytest.mark.parametrize("tail", [b"\xe9\n2\n", b"\xe2\x821\n", b"\xe2\x82"],
+                             ids=["lone-byte", "cut-character", "cut-at-eof"])
+    def test_a_bad_byte_past_the_first_piece_is_named_by_its_file_offset(
+        self, capsys, tmp_path, at, tail
+    ):
+        # in "1\n" lines the first piece ends at byte _PIECE + 2 and the second one's
+        # read at 2 * _PIECE + 2, so a character begun a byte before runs across that cut
+        data = (b"1\n" * _PIECE * 2)[:at] + tail
+        path = tmp_path / "late.csv"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        assert whole.value.start == at
+        code, out, err = run_cli(capsys, ["estimate", "--input", str(path), "--k", "2"])
+        assert (code, out, err) == (2, "", f"error: {path}: {whole.value}\n")
 
 
 class TestTsd:
@@ -457,6 +476,14 @@ class TestOutputContracts:
         record = json.loads(out)
         est = MomentEstimate.from_dict(record)
         assert est.to_dict() == record
+
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path, datafile):
+        outpath = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(
+            capsys, ["estimate", "--input", datafile("0,1,2\n"), "--k", "2", "--output", str(outpath)]
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {outpath}: [Errno 2] No such file or directory: '{outpath}'\n"
 
     def test_output_file(self, capsys, tmp_path, datafile):
         path = datafile("0,1,2\n")

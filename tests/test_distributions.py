@@ -500,6 +500,18 @@ class TestQuantileAverage:
         want = 0.5 * (f.quantile(0.25) + f.quantile(0.75))
         assert quantile_average(f, 0.25, 1.0) == pytest.approx(want, rel=1e-14)
 
+    @pytest.mark.parametrize("family, eps", [
+        (Uniform(1e308, 1.7e308), 0.4),
+        (Weibull(1.0, 1.5e308), 0.5),
+    ], ids=["uniform", "weibull"])
+    def test_quantiles_near_the_double_limit(self, family, eps):
+        # both quantiles pass 9e307, so their sum overflows: each is halved first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = quantile_average(family, eps, 1.0)
+        assert got == 0.5 * family.quantile(eps) + 0.5 * family.quantile(1.0 - eps)
+        assert 9e307 < got < 1.8e308
+
     def test_domain(self):
         with pytest.raises(ArgumentError):
             quantile_average(Uniform(0.0, 1.0), 0.0, 1.0)
