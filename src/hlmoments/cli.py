@@ -35,10 +35,8 @@ from .estimators import (
     trimmed_sd_pairwise,
     trimmed_sd_symmetric,
 )
-from .distributions import congruence_check, parse_family
 from .lstat import LEstimatorSpec, TrimSpec
 from .pseudosample import DEFAULT_BUDGET, ExactPlan, MonteCarloPlan
-from . import verify as _verify
 
 __all__ = ["main"]
 
@@ -57,6 +55,8 @@ class _InputError(Exception):
 
 def _parse_family_arg(spec: str):
     # family-spec syntax problems are usage errors, not domain errors
+    from .distributions import parse_family
+
     try:
         return parse_family(spec)
     except ArgumentError as exc:
@@ -262,6 +262,8 @@ def _cmd_tsd(args) -> int:
 
 
 def _cmd_congruence(args) -> int:
+    from .distributions import congruence_check
+
     family = _parse_family_arg(args.family)
     if args.param not in family.param_names:
         raise _InputError(
@@ -275,14 +277,15 @@ def _cmd_congruence(args) -> int:
     return EXIT_OK
 
 
-# experiment name -> (run the probe from the parsed args, does its property hold)
+# experiment name -> (run the probe from the verify module and the parsed args,
+# does its property hold); verify loads only when an experiment runs
 _EXPERIMENTS = {
     "equivariance": (
-        lambda a: _verify.equivariance_suite(trials=a.trials, seed=a.seed),
+        lambda v, a: v.equivariance_suite(trials=a.trials, seed=a.seed),
         lambda r, a: r.max_rel_dev_kernel <= 1e-9 and r.max_rel_dev_standardized <= 1e-9,
     ),
     "variance-dominance": (
-        lambda a: _verify.variance_comparison(
+        lambda v, a: v.variance_comparison(
             _parse_family_arg(a.family), _n_list(a.n_list),
             eps=a.eps, replications=a.replications, seed=a.seed,
         ),
@@ -290,24 +293,24 @@ _EXPERIMENTS = {
         and all(x <= y for x, y in zip(r.ratio, r.ratio[1:])),
     ),
     "pairwise-shape": (
-        lambda a: _verify.pairwise_diff_probe(
+        lambda v, a: v.pairwise_diff_probe(
             _parse_family_arg(a.family), n_draws=a.n_draws, seed=a.seed, bins=a.bins
         ),
         lambda r, a: r.monotonicity >= 0.9,
     ),
     "kernel-shape": (
-        lambda a: _verify.kernel_shape_probe(
+        lambda v, a: v.kernel_shape_probe(
             _parse_family_arg(a.family), k=a.k, n_draws=a.n_draws, seed=a.seed, bins=a.bins
         ),
         lambda r, a: r.abs_median_over_sigma <= 0.1,
     ),
     "support-bounds": (
-        lambda a: _verify.support_bound_probe(k=a.k, resolution=a.resolution),
+        lambda v, a: v.support_bound_probe(k=a.k, resolution=a.resolution),
         lambda r, a: abs(r.observed_min - r.bound_lower) <= a.tolerance
         and abs(r.observed_max - r.bound_upper) <= a.tolerance,
     ),
     "mc-consistency": (
-        lambda a: _verify.mc_consistency_probe(
+        lambda v, a: v.mc_consistency_probe(
             _parse_family_arg(a.family), n=a.n, k=a.k, eps0=a.eps0, draws=a.draws, n_seeds=a.seeds
         ),
         lambda r, a: r.passes >= int(np.ceil(0.9 * len(r.seeds))),
@@ -316,8 +319,10 @@ _EXPERIMENTS = {
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     run, holds = _EXPERIMENTS[args.experiment]
-    report = run(args)
+    report = run(verify, args)
     ok = holds(report, args)
     _emit(report.to_dict(), args)
     return EXIT_OK if ok else EXIT_PROPERTY

@@ -146,7 +146,7 @@ def _monte_carlo_rows(x: np.ndarray, k: int, plan: MonteCarloPlan):
     for block, start in enumerate(range(0, plan.draws, _MC_BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence(plan.seed, spawn_key=(block,)))
         for tile in _sample_index_combinations(rng, x.size, k, min(_MC_BLOCK, plan.draws - start)):
-            yield x[tile].T
+            yield x.take(tile).T
         del tile  # a view of the finished block: it would keep it alive while the next is drawn
 
 

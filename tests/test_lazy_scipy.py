@@ -1,12 +1,17 @@
-"""scipy is loaded only when a family needs it.
+"""Each entry point loads only the modules it needs.
 
 The estimators work on the caller's own data with numpy alone, and the gamma
 family's special functions are the package's own, so importing the package,
 the CLI on an ``--input`` file or on a generalized Gaussian family, an exact
 estimate and the Weibull, gamma, normal, Laplace and generalized Gaussian
 methods must not load ``scipy.special``; the lognormal family imports it on
-first use.  Each check runs in a fresh interpreter, because this test process
-has loaded scipy already.
+first use.  Likewise the package loads ``distributions`` and ``verify`` on
+first use: importing the package or the CLI, an ``--input`` estimate and an
+exact estimate load neither, a ``--family`` estimate loads ``distributions``
+alone and a verification experiment loads both.  Once loaded, both resolve as
+attributes of the package and ``dir`` lists every exported name.  The checks
+run in one fresh interpreter, because this test process has loaded every
+module already.
 """
 
 import json
@@ -20,16 +25,18 @@ import hlmoments
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(hlmoments.__file__)))
 
-# Runs the steps in order in one interpreter and prints, as JSON, whether
-# scipy.special was loaded after each step.
+LAZY = ("scipy.special", "hlmoments.distributions", "hlmoments.verify")
+
+# Runs the steps in order in one interpreter and prints, as JSON, which of LAZY
+# were loaded after each step, then how the package resolves its lazy names.
 SCRIPT = r"""
 import contextlib, io, json, sys
 
-path = sys.argv[1]
+path, names = sys.argv[1], sys.argv[2:]
 loaded = {}
 
 def note(step):
-    loaded[step] = "scipy.special" in sys.modules
+    loaded[step] = {name: name in sys.modules for name in names}
 
 import hlmoments
 note("import hlmoments")
@@ -42,6 +49,27 @@ with contextlib.redirect_stdout(io.StringIO()):
     note("cli tsd --input")
 hlmoments.hl_central_moment([0.3, -1.2, 2.5, 0.9, 1.7], 4)
 note("exact hl_central_moment")
+with contextlib.redirect_stdout(io.StringIO()):
+    assert hlmoments.cli.main(["estimate", "--family", "normal(0,1)", "--n", "20", "--k", "3"]) == 0
+    note("cli estimate --family normal")
+    assert hlmoments.cli.main(["verify", "support-bounds", "--k", "3", "--resolution", "20"]) == 0
+    note("cli verify support-bounds")
+
+def holds(check):
+    try:
+        return check()
+    except (AttributeError, KeyError):  # a name not bound, or a module not loaded
+        return False
+
+resolved = {  # the import system binds a loaded submodule; __getattr__ must too
+    "hlmoments.verify": holds(lambda: hlmoments.verify is sys.modules["hlmoments.verify"]),
+    "hlmoments.distributions": holds(
+        lambda: hlmoments.distributions is sys.modules["hlmoments.distributions"]),
+    "__getattr__ binds both modules": holds(lambda: all(
+        hlmoments.__getattr__(name) is sys.modules[f"hlmoments.{name}"]
+        for name in ("distributions", "verify"))),
+    "dir lists __all__": holds(lambda: set(hlmoments.__all__) <= set(dir(hlmoments))),
+}
 hlmoments.normal().sample(10, 0)
 note("normal().sample")
 hlmoments.laplace().sample(10, 0)
@@ -65,7 +93,7 @@ for shape in (2000, 5000, 9999):
     note(f"Gamma({shape}).sample")
 hlmoments.LogNormal(0.0, 1.0).sample(10, 0)
 note("LogNormal(0, 1).sample")
-print(json.dumps(loaded))
+print(json.dumps({"loaded": loaded, "resolved": resolved}))
 """
 
 WITHOUT_SCIPY = (
@@ -74,6 +102,7 @@ WITHOUT_SCIPY = (
     "cli estimate --input",
     "cli tsd --input",
     "exact hl_central_moment",
+    "cli estimate --family normal",
     "normal().sample",
     "laplace().sample",
     "Gamma(2).sample",
@@ -92,15 +121,39 @@ def loaded(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "x.csv"
     path.write_text("0.3\n-1.2\n2.5\n0.9\n1.7\n-0.4\n", encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=SRC)
-    done = subprocess.run([sys.executable, "-c", SCRIPT, str(path)], env=env,
+    done = subprocess.run([sys.executable, "-c", SCRIPT, str(path), *LAZY], env=env,
                           capture_output=True, text=True, check=True, timeout=120)
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 @pytest.mark.parametrize("step", WITHOUT_SCIPY)
 def test_scipy_is_not_loaded(loaded, step):
-    assert loaded[step] is False
+    assert loaded["loaded"][step]["scipy.special"] is False
 
 
 def test_a_lognormal_sample_loads_scipy(loaded):
-    assert loaded["LogNormal(0, 1).sample"] is True
+    assert loaded["loaded"]["LogNormal(0, 1).sample"]["scipy.special"] is True
+
+
+@pytest.mark.parametrize("step, distributions, verify", [
+    ("import hlmoments", False, False),
+    ("import hlmoments.cli", False, False),
+    ("cli estimate --input", False, False),
+    ("cli tsd --input", False, False),
+    ("exact hl_central_moment", False, False),
+    ("cli estimate --family normal", True, False),
+    ("cli verify support-bounds", True, True),
+])
+def test_families_and_verification_load_on_first_use(loaded, step, distributions, verify):
+    assert loaded["loaded"][step]["hlmoments.distributions"] is distributions
+    assert loaded["loaded"][step]["hlmoments.verify"] is verify
+
+
+@pytest.mark.parametrize("check", [
+    "hlmoments.verify",
+    "hlmoments.distributions",
+    "__getattr__ binds both modules",
+    "dir lists __all__",
+])
+def test_lazy_names_resolve(loaded, check):
+    assert loaded["resolved"][check] is True
