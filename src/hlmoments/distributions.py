@@ -17,23 +17,18 @@ shape drops below 1).
 The Weibull, Pareto, uniform, gamma and generalized Gaussian (so normal and
 Laplace) families run on numpy alone.  ``_pq`` gives the regularized
 incomplete gamma ratios P(a, x) and Q(a, x) = 1 - P: P's all-positive series
-below x = a + 1, Legendre's continued fraction for Q above it (evaluated bottom
-up from a depth fixed per shape), and their prefactor x^a e^-x / Gamma(a),
-with x^a by a power below shape 30 and, from 30 on, exp(-a phi(x/a)) times
-a Stirling factor (after DiDonato & Morris, ACM TOMS 12, 1986, and Gil,
-Segura & Temme, SIAM J. Sci. Comput. 34, 2012).  The quantiles invert P
-with ``_gammaincinv``: a start from a per-shape table of log x against the
-log tail probability, whose nodes Newton's method on log x finds, then one
-Halley step with ``_pq``'s residual.  On 1e5 draws it is 2-8x faster than
-scipy's ``gammaincinv`` at shapes 0.1 to 50.  Against a 100-bit oracle over seeded draws and both tails down to 2^-52,
-its worst error is 2-58 ulp at those shapes, below scipy's (8-319 ulp) at
-each; both grow where the inverse is ill-conditioned, at small shapes.
+below x = a + 1, Legendre's continued fraction for Q above it, and their
+prefactor x^a e^-x / Gamma(a) (after DiDonato & Morris, ACM TOMS 12, 1986,
+and Gil, Segura & Temme, SIAM J. Sci. Comput. 34, 2012).  The quantiles invert
+P with ``_gammaincinv``: a start from a per-shape table of log x against the
+log tail probability, then one Halley step with ``_pq``'s residual.  One
+Newton solver on log x, ``_solve_log_x``, finds the table's nodes and starts
+the tails below the table and the lanes whose step cannot be certified.  On
+1e5 draws it is 2-8x faster than scipy's ``gammaincinv`` at shapes 0.1 to 50, and
+its worst error against a 100-bit oracle there 2-58 ulp, below scipy's 8-319.
 
 ``scipy.special`` is imported on first use (``_special``) by the lognormal
-family, ``lognormal_qa_sigma_derivative`` and the gamma family's fallbacks: a
-tail probability below 2^-60, a Halley step too large to certify, and shapes
-above 1e4.  Importing the package, estimating from given data and sampling
-from the other families do not load it.
+family, ``lognormal_qa_sigma_derivative`` and ``_pq`` above shape 1e4 only.
 """
 
 from __future__ import annotations
@@ -78,8 +73,7 @@ def _open_unit(rng: np.random.Generator, size) -> np.ndarray:
 
 
 def _special():
-    """``scipy.special``, imported on first use: only the lognormal family and the
-    rare fallbacks of the gamma-family functions need it."""
+    """``scipy.special``, imported on first use: the lognormal family and ``_pq`` need it."""
     import scipy.special
 
     return scipy.special
@@ -216,58 +210,73 @@ def _fraction_depth(a: float) -> int:
         depth, value = deeper, deeper_value
 
 
+def _wilson_hilferty(a: float, s: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Wilson-Hilferty's a (1 - 1/(9a) -+ z/(3 sqrt a))^3, z by A&S 26.2.23 (|error| < 4.5e-4)."""
+    r = np.sqrt(-2.0 * s)
+    z = r - (2.515517 + r * (0.802853 + r * 0.010328)) / (
+        1.0 + r * (1.432788 + r * (0.189269 + r * 0.001308)))
+    return a * (1.0 - 1.0 / (9.0 * a) + np.where(upper, z, -z) / (3.0 * math.sqrt(a))) ** 3
+
+
+def _solve_log_x(a: float, s: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """y = log x with log P(a, e^y) = s, or log Q(a, e^y) = s on the ``upper`` lanes.
+
+    Newton's method on y: both sides are concave in y, so after the first step the
+    iterates close in from one side; a lane is frozen once its step falls below
+    2^-26 (the next would be below 2^-52).  Starts: P(a, x) < x^a / Gamma(a+1)
+    below; above, fixed-point steps on Q(a, x) ~ x^(a-1) e^-x / Gamma(a) when a < 1,
+    else the Wilson-Hilferty cube.  Where the tail underflows (below from shape ~2000,
+    above far below 2^-60) the step is not finite and the lane moves nearer the root:
+    below to the Wilson-Hilferty value or, from past it, up the fixed-point steps; above, down them.
+    """
+    lg = math.lgamma(a + 1.0)
+
+    def fixed_point(y, s, up):  # on x^a e^-x / Gamma(a+1) = e^s, or x^(a-1) e^-x / Gamma(a) above
+        for _ in range(4):
+            y = np.where(up, np.log(np.maximum(-s - lg + math.log(a) + (a - 1.0) * y, 1.0)),
+                         (s + lg + np.exp(y)) / a)
+        return y
+
+    with np.errstate(all="ignore"):  # the cube is negative at small shapes: NaN
+        wilson = np.log(_wilson_hilferty(a, s, upper))
+        y = np.where(upper, wilson, (s + lg) / a)
+        if a < 1.0:
+            y[upper] = fixed_point(np.zeros(np.count_nonzero(upper)), s[upper], True)
+        live = np.arange(s.size)
+        for _ in range(60):
+            x = np.exp(y[live])
+            p, q, pre = _pq(a, x, y[live])
+            up = upper[live]
+            tail_now = np.where(up, q, p)
+            # d log P / dy = pre / P, d log Q / dy = -pre / Q
+            step = (np.log(tail_now) - s[live]) * tail_now / np.where(up, -pre, pre)
+            stuck = ~np.isfinite(step)
+            y[live] -= np.where(stuck, 0.0, step)
+            if stuck.any():
+                lanes = live[stuck]
+                y[lanes] = np.where(~upper[lanes] & (y[lanes] < wilson[lanes]), wilson[lanes],
+                                    fixed_point(y[lanes], s[lanes], upper[lanes]))
+            live = live[~(np.abs(step) < 2.0**-26)]
+            if not live.size:
+                break
+    return y
+
+
 @functools.lru_cache(maxsize=32)
 def _quantile_table(a: float) -> np.ndarray:
     """Cubic Hermite coefficients of log x against s = log(tail), one column per interval.
 
     Columns ``0 .. _NODES-2`` are the lower half (P(a, x) = e^s), the next
     ``_NODES-1`` the upper half (Q(a, x) = e^s); the four rows hold c0..c3 of
-    ``c0 + c1*tau + c2*tau^2 + c3*tau^3`` for tau in [0, 1].  The nodes solve
-    log P(a, e^y) = s and log Q(a, e^y) = s by Newton's method on y = log x:
-    both sides are concave in y, so after the first step the iterates close in
-    from one side, and a lane is frozen once its step falls below 2^-26 (the
-    next one would be below 2^-52).  The slopes come from the density,
-    d log x / ds = +-e^s / (x pdf(x)).  A start that underflows to x = 0 (tiny
-    shapes) cannot be certified by the Halley step, which sends it to scipy.
+    ``c0 + c1*tau + c2*tau^2 + c3*tau^3`` for tau in [0, 1].  ``_solve_log_x`` finds the
+    nodes; the slopes come from the density, d log x / ds = +-e^s / (x pdf(x)).
     """
     s = np.linspace(_S_LOW, _S_HIGH, _NODES)
     tail = np.exp(s)
     h = s[1] - s[0]
-    lg = math.lgamma(a + 1.0)
-    # starts: P(a, x) < x^a / Gamma(a+1) below; above, Q(a, x) ~ x^(a-1) e^-x / Gamma(a)
-    # when a < 1, and the Wilson-Hilferty cube with a rational normal quantile
-    # (Abramowitz & Stegun 26.2.23) from a = 1 on.  Where P at the lower start
-    # underflows (from about shape 2000) Newton's step is not finite, and the
-    # lane restarts from the lower Wilson-Hilferty value.
-    r = np.sqrt(-2.0 * s)
-    z = r - (2.515517 + r * (0.802853 + r * 0.010328)) / (
-        1.0 + r * (1.432788 + r * (0.189269 + r * 0.001308)))
-    with np.errstate(invalid="ignore"):  # NaN where the cube is negative: small shapes
-        wilson = np.log(a * (1.0 - 1.0 / (9.0 * a)
-                             + np.concatenate([-z, z]) / (3.0 * math.sqrt(a))) ** 3)
-    y = np.concatenate([(s + lg) / a, wilson[_NODES:]])
-    if a < 1.0:
-        upper_x = np.ones_like(s)
-        for _ in range(4):
-            upper_x = np.maximum(-s - lg + math.log(a) + (a - 1.0) * np.log(upper_x), 1.0)
-        y[_NODES:] = np.log(upper_x)
-    target = np.concatenate([s, s])
-    is_upper = np.arange(2 * _NODES) >= _NODES
-    live = np.arange(2 * _NODES)
+    y = _solve_log_x(a, np.concatenate([s, s]), np.arange(2 * _NODES) >= _NODES)
     with np.errstate(all="ignore"):
-        for _ in range(60):
-            x = np.exp(y[live])
-            p, q, pre = _pq(a, x, y[live])
-            up = is_upper[live]
-            tail_now = np.where(up, q, p)
-            # d log P / dy = pre / P, d log Q / dy = -pre / Q
-            step = (np.log(tail_now) - target[live]) * tail_now / np.where(up, -pre, pre)
-            y[live] = np.where(np.isfinite(step), y[live] - step, wilson[live])
-            live = live[~(np.abs(step) < 2.0**-26)]
-            if not live.size:
-                break
-        x = np.exp(y)
-        pre = _pq(a, x, y)[2]
+        pre = _pq(a, np.exp(y), y)[2]
         halves = []
         for part, sign in ((slice(0, _NODES), h), (slice(_NODES, None), -h)):
             yy = y[part]
@@ -285,31 +294,35 @@ def _gammaincinv(a: float, u, q=None) -> np.ndarray:
     (q < 1/2) solves Q(a, x) = q, so a tail far below 2^-53 keeps its bits.
     The lower half solves P = u from a start tabulated against log u, the upper
     half Q = q from one against log q.  One Halley step follows, its residual
-    from ``_pq``.  u = 0 gives 0 and q = 0 gives inf; scipy's inverses take
-    tails below the table and any value the step cannot certify.
+    from ``_pq``.  Tails below the table and steps too large to certify start from
+    ``_solve_log_x`` instead and take the same step.  u = 0 gives 0, q = 0 inf.
     """
     if not a <= _SHAPE_MAX:
         raise ArgumentError(f"shape={a:g} is too large: log Gamma(shape + 1) overflows a double")
     u = np.asarray(u, dtype=np.float64)
     flat = u.ravel()
     q = 1.0 - flat if q is None else np.asarray(q, dtype=np.float64).ravel()
-    coef = _quantile_table(a)
-    intervals = _NODES - 1
+    coef, intervals = _quantile_table(a), _NODES - 1
+
+    def halley(lanes, log_x):  # x = e^log_x and the Halley step dx on those lanes
+        x = np.exp(log_x)
+        p_x, q_x, pre = _pq(a, x, log_x)
+        r = np.where(upper[lanes], q[lanes] - q_x, p_x - flat[lanes])  # P(a, x) - u
+        r[np.abs(r) <= 2.0**-1071] = 0.0  # the rounding of a subnormal P or Q, not a miss
+        newton = r / pre * x  # r / pdf(x); r * x underflows at a subnormal x, x / pre overflows
+        return x, newton / (1.0 - 0.5 * newton * ((a - 1.0) / x - 1.0))
+
     with np.errstate(all="ignore"):
         upper = q < 0.5
         tail = np.where(upper, q, flat)
-        t = (np.log(tail) - _S_LOW) * (intervals / (_S_HIGH - _S_LOW))
+        log_tail = np.log(tail)
+        t = (log_tail - _S_LOW) * (intervals / (_S_HIGH - _S_LOW))
         i = np.clip(t, 0, intervals - 1).astype(np.intp)
         tau = t - i
         column = i + intervals * upper
         c0, c1, c2, c3 = (row.take(column) for row in coef)  # faster than coef[:, column]
         log_x = c0 + tau * (c1 + tau * (c2 + tau * c3))
-        x = np.exp(log_x)
-
-        p_x, q_x, pre = _pq(a, x, log_x)
-        r = np.where(upper, q - q_x, p_x - flat)  # P(a, x) - u at the start
-        newton = r * x / pre  # r / pdf(x)
-        dx = newton / (1.0 - 0.5 * newton * ((a - 1.0) / x - 1.0))
+        x, dx = halley(slice(None), log_x)
         # From a start off by rho (about |dx| / x) relative, the step leaves
         # about K rho^3, K = (a - 1 - x)^2 / 12 + (a - 1) / 6 (k adds 1 to cap
         # rho where K is small), plus rho times the pdf's rounding error, which
@@ -319,16 +332,15 @@ def _gammaincinv(a: float, u, q=None) -> np.ndarray:
         pdf_error = _EPS_MACH * (np.abs(a * log_x) + x + abs(math.lgamma(a)))
         certified = (t >= 0) & (rho * (rho**2 * k + pdf_error) <= _CERTIFY)
         x -= dx
+        solve = np.flatnonzero(~certified & (tail > 0.0))
+        if solve.size:
+            start, dx = halley(solve, _solve_log_x(a, log_tail[solve], upper[solve]))
+            # dx is NaN where x underflowed to 0, and where the density did at a start off by
+            # y's rounding: past shape ~1e28, whose spread a^-1/2 is smaller, the cube stands
+            cube = _wilson_hilferty(a, log_tail[solve], upper[solve])
+            x[solve] = np.where(np.isfinite(dx), start - dx, np.where(cube > 0.0, cube, start))
     zero = tail == 0.0
-    if zero.any():
-        x[zero] = np.where(upper[zero], np.inf, 0.0)
-        certified |= zero
-    fallback = ~certified
-    if fallback.any():
-        sp = _special()
-        low, up = fallback & ~upper, fallback & upper
-        x[low] = sp.gammaincinv(a, flat[low])
-        x[up] = sp.gammainccinv(a, q[up])
+    x[zero] = np.where(upper[zero], np.inf, 0.0)
     return x.reshape(u.shape)
 
 
@@ -716,13 +728,8 @@ class CongruenceVerdict(Record):
     verdict: str
 
 
-def congruence_check(
-    family: Family,
-    param: str,
-    gamma: float = 1.0,
-    grid_size: int = 64,
-    h: float | None = None,
-) -> CongruenceVerdict:
+def congruence_check(family: Family, param: str, gamma: float = 1.0, grid_size: int = 64,
+                      h: float | None = None) -> CongruenceVerdict:
     """Scan dQA/dparam signs over a geometric eps grid in [1e-4, 1/(1+gamma)].
 
     Verdicts: "congruent" when all nonzero signs agree (dead-band zeros are
@@ -737,15 +744,6 @@ def congruence_check(
             f"gamma={gamma} is too small: the eps grid's end 1/(1 + gamma) rounds to 1")
     grid = np.geomspace(_CONGRUENCE_DELTA, 1.0 / (1.0 + gamma), grid_size).tolist()
     signs = tuple(_qa_signs(family, param, grid, gamma, h).tolist())
-    if len(set(signs) - {0}) < 2:
-        verdict = "congruent"
-    else:
-        verdict = "inconclusive" if 0 in signs else "non-congruent"
-    return CongruenceVerdict(
-        family=family.label,
-        param=param,
-        gamma=gamma,
-        epsilons=tuple(grid),
-        signs=signs,
-        verdict=verdict,
-    )
+    verdict = ("congruent" if len(set(signs) - {0}) < 2
+               else "inconclusive" if 0 in signs else "non-congruent")
+    return CongruenceVerdict(family.label, param, gamma, tuple(grid), signs, verdict)

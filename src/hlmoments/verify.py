@@ -212,6 +212,7 @@ def pairwise_diff_probe(
     draw from the histogram range so a handful of extreme differences cannot
     flood the statistic with empty bins.
     """
+    tail_clip = _real("tail_clip", tail_clip, 0.0, 0.5, open_high=True)
     n_draws, seed, nbins, x = _shape_args(family, 2, n_draws, seed, bins)
     d = -np.abs(x[:, 0] - x[:, 1])
     lo = float(np.quantile(d, tail_clip)) if tail_clip > 0 else float(d.min())
@@ -236,6 +237,7 @@ def kernel_shape_probe(
     clipped to the central (tail_clip, 1 - tail_clip) quantile range.
     """
     k = _integer("k", k, 3, 4)
+    tail_clip = _real("tail_clip", tail_clip, 0.0, 0.5, open_high=True)
     n_draws, seed, nbins, x = _shape_args(family, k, n_draws, seed, bins)
     v = kernel_values(np.sort(x, axis=1), k)
     if tail_clip > 0:

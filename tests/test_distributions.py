@@ -112,6 +112,9 @@ GAMMA_SHAPES = [0.1, 0.25, 0.5, 2.0 / 3.0, 1.0, 1.5, 2.0, 5.0, 50.0]
 #: Shapes where P at the table's lower starts underflows, up to _pq's largest.
 LARGE_SHAPES = [2000.0, 5000.0, 9999.0]
 
+#: Tails below the table's 2^-60, which the Newton solver serves.
+DEEP_TAILS = [1e-20, 1e-100, 1e-300]
+
 #: How many ulp the tabulated inverse may be worse than scipy's gammaincinv at
 #: its worst point: room for a last-bit difference in libm's pow and exp.
 ULP_MARGIN = 4.0
@@ -125,28 +128,36 @@ def _gamma_seams(a):
 
 def _gamma_points(a):
     """Seeded 53-bit draws, both tails down to 2^-52, u = 1/2, P(a, 2) and 2^-60 each
-    with its neighbours, and points just below x = 2."""
+    with its neighbours, points just below x = 2, and u = 1e-20, 1e-100 and 1e-300."""
     draws = np.random.default_rng(2024).integers(1, 1 << 53, 150) / float(1 << 53)
     tails = 2.0 ** -np.arange(1, 53)
     marks = [0.5, float(gammainc(a, 2.0)), 2.0**-60]
     seams = [np.nextafter(s, d) for s in marks for d in (0.0, 1.0)]
     below_two = gammainc(a, np.array([1.0, 1.5, 1.9, 1.99, 1.999]))
-    return np.concatenate([draws, tails, 1.0 - tails, marks, seams, below_two])
+    return np.concatenate([draws, tails, 1.0 - tails, marks, seams, below_two, DEEP_TAILS])
 
 
-def _oracle_ulp_errors(mpmath, a, u, x):
+def _oracle_ulp_errors(mpmath, a, u, x, q=None):
     """|x - x*| in ulp of x*, where x* solves P(a, x*) = u (Q(a, x*) = 1 - u above
-    u = 1/2) by Newton's method at 100 bits from scipy's answer."""
+    u = 1/2, or Q(a, x*) = q at every point when q is given) by Newton's method at
+    100 bits from scipy's answer.  Where scipy gives 0, x* must round to 0."""
     out = []
+    q = [None] * len(u) if q is None else q.tolist()
     with mpmath.workprec(100):
         am = mpmath.mpf(a)
-        for ui, xi in zip(u.tolist(), x.tolist()):
+        for ui, qi, xi in zip(u.tolist(), q, x.tolist()):
             um = mpmath.mpf(ui)
-            root = mpmath.mpf(float(gammainccinv(a, 1.0 - ui) if ui > 0.5 else gammaincinv(a, ui)))
+            upper = ui > 0.5 or qi is not None
+            tail = mpmath.mpf(qi) if qi is not None else 1 - um
+            root = mpmath.mpf(float(gammainccinv(a, float(tail)) if upper else gammaincinv(a, ui)))
+            if root == 0:
+                assert not upper and mpmath.gammainc(am, 0, mpmath.mpf(2) ** -1075, regularized=True) >= um
+                out.append(abs(xi) / np.spacing(0.0))
+                continue
             for _ in range(6):
                 pdf = mpmath.exp((am - 1) * mpmath.log(root) - root - mpmath.loggamma(am))
-                if ui > 0.5:
-                    miss = 1 - um - mpmath.gammainc(am, root, mpmath.inf, regularized=True)
+                if upper:
+                    miss = tail - mpmath.gammainc(am, root, mpmath.inf, regularized=True)
                 else:
                     miss = mpmath.gammainc(am, 0, root, regularized=True) - um
                 step = miss / pdf
@@ -167,6 +178,11 @@ class TestGammaQuantile:
         ours = _oracle_ulp_errors(mpmath, a, u, _gammaincinv(a, u))
         theirs = _oracle_ulp_errors(mpmath, a, u, gammaincinv(a, u))
         assert ours.max() <= theirs.max() + ULP_MARGIN, (ours.max(), theirs.max())
+        # the deep upper tails, Q(a, x) = q itself, which 1 - u cannot carry below 2^-53
+        q = np.array(DEEP_TAILS)
+        ours = _oracle_ulp_errors(mpmath, a, 1.0 - q, _gammaincinv(a, 1.0 - q, q), q)
+        theirs = _oracle_ulp_errors(mpmath, a, 1.0 - q, gammainccinv(a, q), q)
+        assert ours.max() <= theirs.max() + ULP_MARGIN, (ours.max(), theirs.max())
 
     def test_shape_50_at_two_to_the_minus_12(self):
         # the residual's own P: scipy's gammainc is 117 ulp off at the start there
@@ -186,13 +202,25 @@ class TestGammaQuantile:
         monkeypatch.setattr(distributions, "_special", no_scipy)
         for seed in range(3):
             assert np.isfinite(Gamma(a).sample(20_000, seed)).all()
+            # nor the uncertified lanes of a tiny shape, most of its draws
+            assert np.isfinite(Gamma(1e-3).sample(20_000, seed)).all()
+        # nor tails below the table, down to the smallest subnormal
+        tail = np.array(DEEP_TAILS + [2.0**-1074])
+        assert np.isfinite(_gammaincinv(a, tail)).all()
+        assert np.isfinite(_gammaincinv(a, 1.0 - tail, tail)).all()
 
-    @pytest.mark.parametrize("a", GAMMA_SHAPES, ids=lambda a: f"a={a:.3g}")
+    @pytest.mark.parametrize("a", GAMMA_SHAPES + [1e-3, 3e3, 9999.0], ids=lambda a: f"a={a:.3g}")
     def test_monotone_across_the_seams(self, a):
         steps = 1.0 + np.arange(-500, 501) * 2.0**-40
         for seam in _gamma_seams(a):
             x = _gammaincinv(a, seam * steps)
             assert np.all(np.diff(x) >= 0), seam
+        # both halves on a geometric grid through [2^-1074, 2^-60] and across the
+        # subnormal seam at 2^-1022
+        tail = np.unique(np.concatenate([2.0 ** -np.linspace(1074, 60, 4057), 2.0**-1022 * steps]))
+        lower, upper = _gammaincinv(a, tail), _gammaincinv(a, 1.0 - tail, tail)
+        assert np.isfinite(lower).all() and np.isfinite(upper).all()
+        assert np.all(np.diff(lower) >= 0) and np.all(np.diff(upper) <= 0)
 
     def test_zero_and_one_and_the_shape_of_the_input(self):
         assert _gammaincinv(0.5, np.array([0.0, 1.0])).tolist() == [0.0, math.inf]

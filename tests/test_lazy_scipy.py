@@ -1,11 +1,12 @@
 """Each entry point loads only the modules it needs.
 
 The estimators work on the caller's own data with numpy alone, and the gamma
-family's special functions are the package's own, so importing the package,
-the CLI on an ``--input`` file or on a generalized Gaussian family, an exact
-estimate and the Weibull, gamma, normal, Laplace and generalized Gaussian
-methods must not load ``scipy.special``; the lognormal family imports it on
-first use.  Likewise the package loads ``distributions`` and ``verify`` on
+family's special functions, its inverse included, are the package's own up to
+shape 1e4, so importing the package, the CLI on an ``--input`` file or on a
+generalized Gaussian family, an exact estimate and the Weibull, gamma, normal,
+Laplace and generalized Gaussian methods must not load ``scipy.special``; only
+the lognormal family, ``lognormal_qa_sigma_derivative`` and gamma shapes above
+1e4 import it, on first use.  Likewise the package loads ``distributions`` and ``verify`` on
 first use: importing the package or the CLI, an ``--input`` estimate and an
 exact estimate load neither, a ``--family`` estimate loads ``distributions``
 alone and a verification experiment loads both.  Once loaded, both resolve as

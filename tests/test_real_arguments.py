@@ -23,11 +23,13 @@ from hlmoments import (
     boundary_kernel_value,
     breakdown_from_trim,
     congruence_check,
+    kernel_shape_probe,
     kernel_support_bounds,
     laplace,
     lognormal_qa_sigma_derivative,
     mc_consistency_probe,
     normal,
+    pairwise_diff_probe,
     qa_partial_sign,
     quantile_average,
     trim_from_breakdown,
@@ -70,6 +72,10 @@ PARAMETERS = {
         lambda v: mc_consistency_probe(n=6, draws=50, n_seeds=1, tolerance=v), 1, -1),
     "boundary_kernel_value.a": (lambda v: boundary_kernel_value(4, 1, v, 1.0), 2, None),
     "kernel_support_bounds.delta": (lambda v: kernel_support_bounds(3, v), -1, 1),
+    "pairwise_diff_probe.tail_clip": (
+        lambda v: pairwise_diff_probe(normal(), n_draws=100, bins=4, tail_clip=v), 0, 0.5),
+    "kernel_shape_probe.tail_clip": (
+        lambda v: kernel_shape_probe(normal(), 3, n_draws=100, bins=4, tail_clip=v), 0, 0.5),
 }
 
 BAD = {"bool": True, "str": "2", "nan": math.nan, "inf": math.inf, "-inf": -math.inf}
