@@ -14,8 +14,8 @@ qualify; shape-scale families can fail (the Weibull shape is the canonical
 counterexample: its mean and median move in opposite directions as the
 shape drops below 1).
 
-The Weibull, Pareto, uniform, gamma and generalized Gaussian (so normal and
-Laplace) families run on numpy alone.  ``_pq`` gives the regularized
+Every family method but the lognormal quantile runs on numpy alone (the lognormal
+cdf is Phi(z) = Q(1/2, z^2/2) / 2 below the median).  ``_pq`` gives the regularized
 incomplete gamma ratios P(a, x) and Q(a, x) = 1 - P: P's all-positive series
 below x = a + 1, Legendre's continued fraction for Q above it, and their
 prefactor x^a e^-x / Gamma(a) (after DiDonato & Morris, ACM TOMS 12, 1986,
@@ -28,7 +28,7 @@ the tails below the table and the lanes whose step cannot be certified.  On
 its worst error against a 100-bit oracle there 2-58 ulp, below scipy's 8-319.
 
 ``scipy.special`` is imported on first use (``_special``) by the lognormal
-family, ``lognormal_qa_sigma_derivative`` and ``_pq`` above shape 1e4 only.
+quantile (so lognormal draws, quantiles and scans) and ``_pq`` above shape 1e4 only.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ import numpy as np
 
 from .errors import ArgumentError, _instance, _integer, _real, _reals
 from .kernels import _TILE
+from .lstat import _midpoint
 from .records import Record
 
 __all__ = [
@@ -73,7 +74,7 @@ def _open_unit(rng: np.random.Generator, size) -> np.ndarray:
 
 
 def _special():
-    """``scipy.special``, imported on first use: the lognormal family and ``_pq`` need it."""
+    """``scipy.special``, imported on first use by the lognormal quantile and ``_pq`` above _A_MAX."""
     import scipy.special
 
     return scipy.special
@@ -97,10 +98,10 @@ _CERTIFY = 2.0**-60
 _SHAPE_MAX = 2.5e305
 
 
-def _gamma_function(v: float) -> float:
-    """Gamma(v) for v > 0, inf where it overflows a double."""
+def _or_inf(f, v: float) -> float:
+    """f(v) for ``math.gamma`` or ``math.exp``, inf where it overflows a double."""
     try:
-        return math.gamma(v)
+        return f(v)
     except OverflowError:
         return math.inf
 
@@ -444,7 +445,7 @@ class Weibull(Family):
         return np.where(x <= 0, 0.0, (self.shape / self.scale) * out)
 
     def mean(self) -> float:
-        return self.scale * _gamma_function(1.0 + 1.0 / self.shape)
+        return self.scale * _or_inf(math.gamma, 1.0 + 1.0 / self.shape)
 
 
 @dataclass(frozen=True)
@@ -486,8 +487,8 @@ class LogNormal(Family):
 
     def _cdf(self, x):
         z = (np.log(np.where(x <= 0, 1.0, x)) - self.mu) / self.sigma  # 1 stands in for x <= 0
-        out = _special().ndtr(z)
-        return np.where(x <= 0, 0.0, out)
+        lower, upper, _ = _pq(0.5, 0.5 * z * z)  # Phi(z) = Q(1/2, z^2/2) / 2 below the median
+        return np.where(x <= 0, 0.0, np.where(z < 0, 0.5 * upper, 0.5 + 0.5 * lower))
 
     def _pdf(self, x):
         xp = np.where(x <= 0, 1.0, x)
@@ -498,7 +499,7 @@ class LogNormal(Family):
         return np.where(x <= 0, 0.0, out)
 
     def mean(self) -> float:
-        return math.exp(self.mu + 0.5 * self.sigma**2)
+        return _or_inf(math.exp, self.mu + 0.5 * self.sigma * self.sigma)
 
 
 @dataclass(frozen=True)
@@ -555,7 +556,7 @@ class GeneralizedGaussian(Family):
 
     def _pdf(self, x):
         z = np.abs(x - self.mu) / self.sigma
-        norm = self.beta / (2.0 * self.sigma * _gamma_function(1.0 / self.beta))
+        norm = self.beta / (2.0 * self.sigma * _or_inf(math.gamma, 1.0 / self.beta))
         return norm * np.exp(-(z**self.beta))
 
     def mean(self) -> float:
@@ -564,7 +565,8 @@ class GeneralizedGaussian(Family):
 
 @dataclass(frozen=True)
 class Uniform(Family):
-    """Uniform on (a, b)."""
+    """Uniform on (a, b).  Its formulas take the half-width h = b/2 - a/2, which is
+    (b - a) / 2 exactly unless a or b is subnormal, so b - a cannot overflow."""
 
     _ANY_SIGN = ("a", "b")
 
@@ -577,17 +579,17 @@ class Uniform(Family):
             raise ArgumentError(f"need a < b, got a={self.a}, b={self.b}")
 
     def _q(self, p):
-        return self.a + p * (self.b - self.a)
+        return 2.0 * (0.5 * self.a + p * (0.5 * self.b - 0.5 * self.a))
 
     def _cdf(self, x):
-        return np.clip((x - self.a) / (self.b - self.a), 0.0, 1.0)
+        return np.clip((0.5 * x - 0.5 * self.a) / (0.5 * self.b - 0.5 * self.a), 0.0, 1.0)
 
     def _pdf(self, x):
         inside = (x >= self.a) & (x <= self.b)
-        return np.where(inside, 1.0 / (self.b - self.a), 0.0)
+        return np.where(inside, 0.5 / (0.5 * self.b - 0.5 * self.a), 0.0)
 
     def mean(self) -> float:
-        return 0.5 * (self.a + self.b)
+        return float(_midpoint(self.a, self.b))
 
 
 def normal(mu: float = 0.0, sd: float = 1.0) -> GeneralizedGaussian:
@@ -653,13 +655,10 @@ def _qa_levels(eps, gamma) -> tuple[float, float]:
 
 
 def _qa(family: Family, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """QA and the larger |Q| at each checked level pair (lo, hi), from one quantile call.
-    Each quantile is halved first only where their sum overflows, as ``lstat._midpoint``
-    does: halving a subnormal first would drop its last bit."""
+    """QA and the larger |Q| at each checked level pair (lo, hi), from one quantile call;
+    ``lstat._midpoint`` halves each quantile first only where their sum overflows."""
     q = family._tiled_q(np.stack([lo, hi]))
-    with np.errstate(over="ignore"):
-        total = q[0] + q[1]
-    return np.where(np.isfinite(total), 0.5 * total, 0.5 * q[0] + 0.5 * q[1]), np.abs(q).max(axis=0)
+    return _midpoint(q[0], q[1]), np.abs(q).max(axis=0)
 
 
 def _qa_signs(family: Family, param: str, eps, gamma, h) -> np.ndarray:
@@ -703,15 +702,16 @@ def qa_partial_sign(family: Family, param: str, eps: float, gamma: float,
 def lognormal_qa_sigma_derivative(family: LogNormal, eps: float, gamma: float) -> float:
     """Closed-form dQA/dsigma for the lognormal family (cross-check).
 
-    dQ(p)/dsigma = Phi^(-1)(p) * Q(p), so the derivative of the quantile
-    average is the half-sum of the two weighted quantiles.
+    dQ(p)/dsigma = Phi^(-1)(p) * Q(p), Phi^(-1) from ``normal()``, so the derivative
+    of the quantile average is the half-sum of the two weighted quantiles.
     """
     family = _instance("family", family, LogNormal)
-    zlo, zhi = _special().ndtri(_qa_levels(eps, gamma))
-    return 0.5 * (
-        zlo * math.exp(family.mu + family.sigma * zlo)
-        + zhi * math.exp(family.mu + family.sigma * zhi)
-    )
+    z = normal().quantile(_qa_levels(eps, gamma))
+    with np.errstate(over="ignore"):
+        q = np.exp(family.mu + family.sigma * z)
+        if not np.isfinite(q).all():
+            raise ArgumentError(f"{family.label}: quantiles overflow a double")
+        return float(0.5 * (z[0] * q[0] + z[1] * q[1]))
 
 
 @dataclass(frozen=True)

@@ -124,10 +124,12 @@ def retained_window(n: int, trim: TrimSpec) -> tuple[int, int]:
     return lo, hi
 
 
-def _midpoint(a, b) -> float:
-    """(a + b) / 2 of finite a and b, halving each first only where a + b overflows."""
-    mid = 0.5 * (float(a) + float(b))
-    return mid if math.isfinite(mid) else 0.5 * float(a) + 0.5 * float(b)
+def _midpoint(a, b) -> np.ndarray:
+    """(a + b) / 2 of finite a and b, elementwise, halving each first only where a + b
+    overflows: halving a subnormal first would drop its last bit."""
+    with np.errstate(over="ignore"):
+        total = np.add(a, b)
+    return np.where(np.isfinite(total), 0.5 * total, 0.5 * a + 0.5 * b)
 
 
 def _homogeneous(f, x: np.ndarray, degree: int) -> float:
@@ -175,7 +177,7 @@ def apply_lestimator(
     if spec.kind == "trimmed-mean":
         return _homogeneous(np.mean, window, 1)
     if spec.kind == "median":
-        return _midpoint(window[(window.size - 1) // 2], window[window.size // 2])
+        return float(_midpoint(window[(window.size - 1) // 2], window[window.size // 2]))
     try:
         w = _reals("weights", spec.weights(window.size))
     except ArgumentError as exc:

@@ -361,12 +361,12 @@ def _pairwise_window(x: np.ndarray, trim: TrimSpec, kind: str) -> float:
     if pairs <= max(_SELECT_GATHER * n, _SELECT_HOLD):
         v = np.partition(_pairwise_cells(x, np.arange(1, n), np.full(n - 1, n)), cut)
         if kind == "median":
-            return _midpoint(v[cut[0]], v[cut[1]])
+            return float(_midpoint(v[cut[0]], v[cut[1]]))
         return float(v[lo:hi].mean())
     t_lo = _select_pairwise(x, cut[0])
     t_hi = t_lo if cut[1] == cut[0] else _select_pairwise(x, cut[1])
     if kind == "median" or t_lo == t_hi:  # an odd window's median is t_lo == t_hi
-        return _midpoint(t_lo, t_hi)
+        return float(_midpoint(t_lo, t_hi))
     above = _pairwise_bounds(x, t_lo)  # first column > t_lo
     below = _pairwise_bounds(x, np.nextafter(t_hi, -np.inf))  # first column >= t_hi
     ties = (above.sum() - pairs - lo) * t_lo + (hi + pairs - below.sum()) * t_hi

@@ -5,10 +5,11 @@ import re
 import tracemalloc
 import warnings
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import erfcinv, gammainc, gammainccinv, gammaincinv, ndtri
+from scipy.special import erfcinv, gammainc, gammainccinv, gammaincinv, ndtr, ndtri
 from scipy.stats import norm
 
 from hlmoments import (
@@ -293,6 +294,27 @@ class TestIncompleteGammaRatio:
         assert pre[:2].tolist() == [0.0, 0.0] and np.isnan([p[2], q[2], pre[2]]).all()
 
 
+class TestLogNormalCdf:
+    """The lognormal cdf takes Phi(z) from ``_pq``: Q(1/2, z^2/2) / 2 below the median."""
+
+    def test_no_worse_than_scipy_against_an_mpmath_oracle(self):
+        # LogNormal(-z, 1).cdf(1) is Phi(z) at a z without the rounding of a log.  Both
+        # forms lose most near z = -35, where z^2/2 (or z / sqrt 2) carries its rounding
+        mpmath = pytest.importorskip("mpmath")
+        z = np.concatenate([np.linspace(-37.0, 8.2, 450),
+                            np.random.default_rng(3).uniform(-37.0, 8.2, 450),
+                            [-1e-300, 0.0, 1e-300, -1e-8, 1e-8]])
+        ours = np.array([LogNormal(-zi, 1.0).cdf(1.0) for zi in z.tolist()])
+        with mpmath.workdps(60):
+            want = [mpmath.ncdf(mpmath.mpf(zi)) for zi in z.tolist()]
+
+            def ulps(got):
+                return max(float(abs(mpmath.mpf(float(g)) - w)) / np.spacing(float(w))
+                           for g, w in zip(got, want))
+
+            assert ulps(ours) <= ulps(ndtr(z)) + ULP_MARGIN, (ulps(ours), ulps(ndtr(z)))
+
+
 class TestDensities:
     @pytest.mark.parametrize("family", ALL_FAMILIES, ids=lambda f: f.label)
     def test_pdf_is_the_derivative_of_cdf(self, family):
@@ -378,6 +400,13 @@ class TestMeans:
     def test_weibull_paper_style_values(self):
         assert Weibull(1.0, 1.0).mean() == pytest.approx(1.0, rel=1e-12)
         assert Weibull(0.5, 1.0).mean() == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", [40.0, 1e160])
+    def test_lognormal_mean_beyond_a_double_is_inf(self, sigma):
+        # exp(sigma^2 / 2) overflows a double, and at 1e160 so does sigma^2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert LogNormal(0.0, sigma).mean() == math.inf
 
     def test_pareto_infinite_mean_tag(self):
         assert Pareto(0.5, 1.0).mean() == math.inf
@@ -477,7 +506,7 @@ class TestTiledQuantiles:
         assert peak <= 2 * 8 * n + 32 * 8 * _TILE
 
     @pytest.mark.parametrize("family", [GeneralizedGaussian(0.0, 1e308, 2.0), Weibull(1.0, 1e308),
-                                        Gamma(2.0, 1e308), Pareto(1e-3), Uniform(-1e308, 1e308)],
+                                        Gamma(2.0, 1e308), Pareto(1e-3)],
                              ids=lambda f: f.label)
     def test_quantiles_beyond_a_double_raise_naming_the_family(self, family):
         with warnings.catch_warnings():
@@ -488,6 +517,27 @@ class TestTiledQuantiles:
                 family.quantile(0.9999)
             with pytest.raises(ArgumentError, match="quantiles overflow a double"):
                 congruence_check(family, family.param_names[1])
+
+    @pytest.mark.parametrize("a, b", [(-1e308, 1e308), (-1.5e308, 1.5e308), (1e308, 1.7e308)])
+    def test_uniform_is_exact_up_to_the_double_limit(self, a, b):
+        # b - a overflows a double, but every quantile lies in [a, b]; the formulas
+        # take the half-width b/2 - a/2
+        f, p = Uniform(a, b), np.array([1e-300, 0.1, 0.25, 0.5, 0.9, 1.0 - 2.0**-53])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q, draws = f.quantile(p), f.sample(1000, 1)
+            cdf, pdf, mean = f.cdf(q), f.pdf(q), f.mean()
+            qa = quantile_average(f, 0.1, 1.0)
+            verdict = congruence_check(f, "b")
+        ulp = np.spacing(max(abs(a), abs(b)))
+        want = [float(Fraction(a) + Fraction(pi) * (Fraction(b) - Fraction(a))) for pi in p.tolist()]
+        np.testing.assert_allclose(q, want, rtol=0, atol=2 * ulp)
+        assert ((draws >= a) & (draws <= b)).all()
+        np.testing.assert_allclose(cdf, p, rtol=0, atol=4 * _EPS_MACH)
+        np.testing.assert_allclose(pdf, float(1 / (Fraction(b) - Fraction(a))), rtol=2 * _EPS_MACH)
+        assert mean == float((Fraction(a) + Fraction(b)) / 2)
+        assert abs(qa - 0.5 * q[1] - 0.5 * q[4]) <= ulp
+        assert verdict.verdict == "congruent" and set(verdict.signs) == {1}
 
     @pytest.mark.parametrize("a", [1e20, 1e50, 2e305])
     def test_huge_shapes_draw_their_mean(self, a):
@@ -603,6 +653,15 @@ class TestPartialSigns:
         f = Weibull(5e-7, 1.0)  # step 1e-6 pushes the shape negative
         with pytest.raises(ArgumentError):
             qa_partial_sign(f, "shape", 0.1, 1.0)
+
+    def test_lognormal_derivative_with_quantiles_beyond_a_double_raises(self):
+        # as quantile_average does: no bare OverflowError from exp
+        f = LogNormal(0.0, 1000.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for check in (quantile_average, lognormal_qa_sigma_derivative):
+                with pytest.raises(ArgumentError, match=r"^lognormal\(mu=0, sigma=1000\): quantiles overflow"):
+                    check(f, 0.1, 1.0)
 
     def test_analytic_lognormal_derivative_agrees(self):
         f = LogNormal(0.2, 0.8)

@@ -3,10 +3,11 @@
 The estimators work on the caller's own data with numpy alone, and the gamma
 family's special functions, its inverse included, are the package's own up to
 shape 1e4, so importing the package, the CLI on an ``--input`` file or on a
-generalized Gaussian family, an exact estimate and the Weibull, gamma, normal,
-Laplace and generalized Gaussian methods must not load ``scipy.special``; only
-the lognormal family, ``lognormal_qa_sigma_derivative`` and gamma shapes above
-1e4 import it, on first use.  Likewise the package loads ``distributions`` and ``verify`` on
+generalized Gaussian family, an exact estimate, the Weibull, gamma, normal,
+Laplace and generalized Gaussian methods and the lognormal cdf, pdf, mean and
+``lognormal_qa_sigma_derivative`` must not load ``scipy.special``; only the
+lognormal quantile (so a lognormal draw) and gamma shapes above 1e4 import it,
+on first use.  Likewise the package loads ``distributions`` and ``verify`` on
 first use: importing the package or the CLI, an ``--input`` estimate and an
 exact estimate load neither, a ``--family`` estimate loads ``distributions``
 alone and a verification experiment loads both.  Once loaded, both resolve as
@@ -92,7 +93,16 @@ with contextlib.redirect_stdout(io.StringIO()):  # the cli benchmark workload's 
 for shape in (2000, 5000, 9999):
     hlmoments.Gamma(shape).sample(10, 0)
     note(f"Gamma({shape}).sample")
-hlmoments.LogNormal(0.0, 1.0).sample(10, 0)
+lognormal = hlmoments.LogNormal(0.0, 1.0)
+lognormal.cdf([0.5, 2.0])
+note("LogNormal(0, 1).cdf")
+lognormal.pdf([0.5, 2.0])
+note("LogNormal(0, 1).pdf")
+lognormal.mean()
+note("LogNormal(0, 1).mean()")
+hlmoments.lognormal_qa_sigma_derivative(lognormal, 0.1, 0.5)
+note("lognormal_qa_sigma_derivative")
+lognormal.sample(10, 0)
 note("LogNormal(0, 1).sample")
 print(json.dumps({"loaded": loaded, "resolved": resolved}))
 """
@@ -114,6 +124,10 @@ WITHOUT_SCIPY = (
     "Gamma(2000).sample",
     "Gamma(5000).sample",
     "Gamma(9999).sample",
+    "LogNormal(0, 1).cdf",
+    "LogNormal(0, 1).pdf",
+    "LogNormal(0, 1).mean()",
+    "lognormal_qa_sigma_derivative",
 )
 
 
