@@ -1,7 +1,7 @@
 """Parametric families and the quantile-average congruence analyzer.
 
 Each family exposes quantile, cdf, pdf, closed-form mean, and seeded
-inverse-transform sampling.  The congruence analyzer classifies how the
+sampling.  The congruence analyzer classifies how the
 quantile average
 
     QA(eps, gamma) = (Q(gamma * eps) + Q(1 - eps)) / 2
@@ -20,12 +20,10 @@ incomplete gamma ratios P(a, x) and Q(a, x) = 1 - P: P's all-positive series
 below x = a + 1, Legendre's continued fraction for Q above it, and their
 prefactor x^a e^-x / Gamma(a) (after DiDonato & Morris, ACM TOMS 12, 1986,
 and Gil, Segura & Temme, SIAM J. Sci. Comput. 34, 2012).  The quantiles invert
-P with ``_gammaincinv``: a start from a per-shape table of log x against the
-log tail probability, then one Halley step with ``_pq``'s residual.  One
-Newton solver on log x, ``_solve_log_x``, finds the table's nodes and starts
-the tails below the table and the lanes whose step cannot be certified.  On
-1e5 draws it is 2-8x faster than scipy's ``gammaincinv`` at shapes 0.1 to 50, and
-its worst error against a 100-bit oracle there 2-58 ulp, below scipy's 8-319.
+P with ``_gammaincinv``: Newton's method on log x (``_solve_log_x``), then one
+Halley step with ``_pq``'s residual; at shapes 0.1 to 50 its worst error against
+a 100-bit oracle is 2-56 ulp, below scipy's 14-319.  Draws are by inverse transform,
+but the gamma family's (gamma, normal, Laplace, generalized Gaussian) are numpy's.
 
 ``scipy.special`` is imported on first use (``_special``) by the lognormal
 quantile (so lognormal draws, quantiles and scans) and ``_pq`` above shape 1e4 only.
@@ -88,13 +86,7 @@ _STIRLING_A = 30.0
 _STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0)
 _A_MAX = 1e4
 
-# _gammaincinv's constants: its table spans tail probabilities e^s for s in
-# [_S_LOW, _S_HIGH] on _NODES uniform nodes; a Halley step is kept when its
-# predicted relative error is below _CERTIFY.
-_S_LOW, _S_HIGH = math.log(2.0**-60), math.log(0.5)
-_NODES = 2048
-_CERTIFY = 2.0**-60
-# The table's starts need log Gamma(a + 1), a double up to a = 2.56e305.
+# _solve_log_x's starts need log Gamma(a + 1), a double up to a = 2.56e305.
 _SHAPE_MAX = 2.5e305
 
 
@@ -263,29 +255,11 @@ def _solve_log_x(a: float, s: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return y
 
 
-@functools.lru_cache(maxsize=32)
-def _quantile_table(a: float) -> np.ndarray:
-    """Cubic Hermite coefficients of log x against s = log(tail), one column per interval.
-
-    Columns ``0 .. _NODES-2`` are the lower half (P(a, x) = e^s), the next
-    ``_NODES-1`` the upper half (Q(a, x) = e^s); the four rows hold c0..c3 of
-    ``c0 + c1*tau + c2*tau^2 + c3*tau^3`` for tau in [0, 1].  ``_solve_log_x`` finds the
-    nodes; the slopes come from the density, d log x / ds = +-e^s / (x pdf(x)).
-    """
-    s = np.linspace(_S_LOW, _S_HIGH, _NODES)
-    tail = np.exp(s)
-    h = s[1] - s[0]
-    y = _solve_log_x(a, np.concatenate([s, s]), np.arange(2 * _NODES) >= _NODES)
-    with np.errstate(all="ignore"):
-        pre = _pq(a, np.exp(y), y)[2]
-        halves = []
-        for part, sign in ((slice(0, _NODES), h), (slice(_NODES, None), -h)):
-            yy = y[part]
-            m = sign * tail / pre[part]  # h * d log x / ds
-            dy = yy[1:] - yy[:-1]
-            halves.append(np.stack(
-                [yy[:-1], m[:-1], 3.0 * dy - 2.0 * m[:-1] - m[1:], m[:-1] + m[1:] - 2.0 * dy]))
-    return np.concatenate(halves, axis=1)
+def _shape(a: float) -> float:
+    """The gamma shape a, checked: the quantiles, and so the draws, take it up to _SHAPE_MAX."""
+    if not a <= _SHAPE_MAX:
+        raise ArgumentError(f"shape={a:g} is too large: log Gamma(shape + 1) overflows a double")
+    return a
 
 
 def _gammaincinv(a: float, u, q=None) -> np.ndarray:
@@ -293,55 +267,31 @@ def _gammaincinv(a: float, u, q=None) -> np.ndarray:
 
     ``q``, when given, is 1 - u without the rounding of 1 - u: the upper half
     (q < 1/2) solves Q(a, x) = q, so a tail far below 2^-53 keeps its bits.
-    The lower half solves P = u from a start tabulated against log u, the upper
-    half Q = q from one against log q.  One Halley step follows, its residual
-    from ``_pq``.  Tails below the table and steps too large to certify start from
-    ``_solve_log_x`` instead and take the same step.  u = 0 gives 0, q = 0 inf.
+    ``_solve_log_x`` starts the lower half from log u and the upper from log q,
+    and one Halley step follows, its residual from ``_pq``.  u = 0 gives 0,
+    q = 0 inf and NaN stays NaN.
     """
-    if not a <= _SHAPE_MAX:
-        raise ArgumentError(f"shape={a:g} is too large: log Gamma(shape + 1) overflows a double")
+    _shape(a)
     u = np.asarray(u, dtype=np.float64)
     flat = u.ravel()
     q = 1.0 - flat if q is None else np.asarray(q, dtype=np.float64).ravel()
-    coef, intervals = _quantile_table(a), _NODES - 1
-
-    def halley(lanes, log_x):  # x = e^log_x and the Halley step dx on those lanes
-        x = np.exp(log_x)
-        p_x, q_x, pre = _pq(a, x, log_x)
-        r = np.where(upper[lanes], q[lanes] - q_x, p_x - flat[lanes])  # P(a, x) - u
-        r[np.abs(r) <= 2.0**-1071] = 0.0  # the rounding of a subnormal P or Q, not a miss
-        newton = r / pre * x  # r / pdf(x); r * x underflows at a subnormal x, x / pre overflows
-        return x, newton / (1.0 - 0.5 * newton * ((a - 1.0) / x - 1.0))
-
     with np.errstate(all="ignore"):
         upper = q < 0.5
         tail = np.where(upper, q, flat)
-        log_tail = np.log(tail)
-        t = (log_tail - _S_LOW) * (intervals / (_S_HIGH - _S_LOW))
-        i = np.clip(t, 0, intervals - 1).astype(np.intp)
-        tau = t - i
-        column = i + intervals * upper
-        c0, c1, c2, c3 = (row.take(column) for row in coef)  # faster than coef[:, column]
-        log_x = c0 + tau * (c1 + tau * (c2 + tau * c3))
-        x, dx = halley(slice(None), log_x)
-        # From a start off by rho (about |dx| / x) relative, the step leaves
-        # about K rho^3, K = (a - 1 - x)^2 / 12 + (a - 1) / 6 (k adds 1 to cap
-        # rho where K is small), plus rho times the pdf's rounding error, which
-        # the terms of a log x - x - log Gamma(a) bound.
-        rho = np.abs(dx) / x
-        k = 1.0 + (a - 1.0 - x) ** 2 / 12.0 + abs(a - 1.0) / 6.0
-        pdf_error = _EPS_MACH * (np.abs(a * log_x) + x + abs(math.lgamma(a)))
-        certified = (t >= 0) & (rho * (rho**2 * k + pdf_error) <= _CERTIFY)
-        x -= dx
-        solve = np.flatnonzero(~certified & (tail > 0.0))
-        if solve.size:
-            start, dx = halley(solve, _solve_log_x(a, log_tail[solve], upper[solve]))
-            # dx is NaN where x underflowed to 0, and where the density did at a start off by
-            # y's rounding: past shape ~1e28, whose spread a^-1/2 is smaller, the cube stands
-            cube = _wilson_hilferty(a, log_tail[solve], upper[solve])
-            x[solve] = np.where(np.isfinite(dx), start - dx, np.where(cube > 0.0, cube, start))
-    zero = tail == 0.0
-    x[zero] = np.where(upper[zero], np.inf, 0.0)
+        x = np.where(tail == 0.0, np.where(upper, np.inf, 0.0), np.nan)
+        solve = np.flatnonzero(tail > 0.0)
+        up, log_tail = upper[solve], np.log(tail[solve])
+        log_x = _solve_log_x(a, log_tail, up)
+        start = np.exp(log_x)
+        p_x, q_x, pre = _pq(a, start, log_x)
+        r = np.where(up, q[solve] - q_x, p_x - flat[solve])  # P(a, x) - u
+        r[np.abs(r) <= 2.0**-1071] = 0.0  # the rounding of a subnormal P or Q, not a miss
+        newton = r / pre * start  # r / pdf(x); r * x underflows at a subnormal x, x / pre overflows
+        dx = newton / (1.0 - 0.5 * newton * ((a - 1.0) / start - 1.0))
+        # dx is NaN where x underflowed to 0, and where the density did at a start off by
+        # y's rounding: past shape ~1e28, whose spread a^-1/2 is smaller, the cube stands
+        cube = _wilson_hilferty(a, log_tail, up)
+        x[solve] = np.where(np.isfinite(dx), start - dx, np.where(cube > 0.0, cube, start))
     return x.reshape(u.shape)
 
 
@@ -403,15 +353,21 @@ class Family:
         raise NotImplementedError
 
     def sample(self, n: int, seed) -> np.ndarray:
-        """n i.i.d. draws by inverse transform; fixed by seed, an int >= 0 or a SeedSequence.
-
-        Beyond the n draws it holds their n uniforms and one tile of 8192 lanes
-        of the quantile's temporaries.
-        """
+        """n i.i.d. draws from ``_draw``, fixed by seed (an int >= 0 or a SeedSequence)
+        for a given numpy; a draw beyond a double raises."""
         n = _integer("n", n, 1)
         if not isinstance(seed, np.random.SeedSequence):
             seed = _integer("seed", seed, 0)
-        return self._tiled_q(_open_unit(np.random.default_rng(seed), n))
+        with np.errstate(over="ignore"):
+            out = self._draw(np.random.default_rng(seed), n)
+        if not np.isfinite(out).all():
+            raise ArgumentError(f"{self.label}: quantiles overflow a double")
+        return out
+
+    def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n draws by inverse transform: beyond them it holds their n uniforms and one
+        tile of 8192 lanes of the quantile's temporaries."""
+        return self._tiled_q(_open_unit(rng, n))
 
     @property
     def param_names(self) -> tuple[str, ...]:
@@ -512,6 +468,11 @@ class Gamma(Family):
     def _q(self, p):
         return self.scale * _gammaincinv(self.shape, p)
 
+    def _draw(self, rng, n):  # above shape 1 Marsaglia & Tsang's (ACM TOMS 26, 2000); in place
+        out = rng.standard_gamma(_shape(self.shape), n)
+        out *= self.scale
+        return out
+
     def _cdf(self, x):
         return _pq(self.shape, np.clip(x, 0, None) / self.scale)[0]
 
@@ -539,16 +500,33 @@ class GeneralizedGaussian(Family):
     sigma: float
     beta: float = 2.0
 
-    def _q(self, p):
-        # |Z|^beta is gamma(1/beta) distributed; its upper tail 2 min(p, 1 - p) is
-        # exact, where 1 - tail = |2p - 1| would drop the low bits of a small p.  The
-        # power overflows to inf under _tiled_q's errstate; past _SHAPE_MAX (or at
-        # 1 / beta = inf) all but the median would, so none is taken
-        tail, shape = 2.0 * np.minimum(p, 1.0 - p), 1.0 / self.beta
-        z = _gammaincinv(shape, 1.0 - tail, tail) ** shape if shape <= _SHAPE_MAX else np.inf
-        if not np.isfinite(z).all():
+    def _abs_z(self, g):
+        """|Z| = G^(1/beta), in place, from G ~ gamma(1/beta).  The power overflows to
+        inf under the callers' errstate; past _SHAPE_MAX (or at 1 / beta = inf) every
+        quantile but the median would, so ``_q`` passes G = inf there."""
+        g **= 1.0 / self.beta
+        if not np.isfinite(g).all():
             raise ArgumentError(f"beta={self.beta:g} is too small: quantiles overflow a double")
+        return g
+
+    def _q(self, p):
+        # G's upper tail 2 min(p, 1 - p) is exact, where 1 - tail = |2p - 1| would
+        # drop the low bits of a small p
+        tail, shape = 2.0 * np.minimum(p, 1.0 - p), 1.0 / self.beta
+        g = _gammaincinv(shape, 1.0 - tail, tail) if shape <= _SHAPE_MAX else np.full(p.shape, np.inf)
+        z = self._abs_z(g)
         return self.mu + self.sigma * np.where(p >= 0.5, z, -z)
+
+    def _draw(self, rng, n):
+        if self.beta == 2.0:  # the normal member: numpy's normal sampler
+            out = rng.standard_normal(n)
+            out *= self.sigma / math.sqrt(2.0)
+        else:  # a fair sign, one byte a draw, times |Z| from numpy's gamma sampler
+            out = self._abs_z(rng.standard_gamma(1.0 / self.beta, n))
+            np.negative(out, out=out, where=rng.integers(0, 2, n, dtype=bool))
+            out *= self.sigma
+        out += self.mu
+        return out
 
     def _cdf(self, x):
         lower, upper, _ = _pq(1.0 / self.beta, (np.abs(x - self.mu) / self.sigma) ** self.beta)

@@ -453,6 +453,12 @@ class TestVerify:
         assert code == expected
         assert json.loads(out)["record"] == "mc-consistency"
 
+    def test_mc_consistency_defaults_to_a_skewed_family(self, capsys):
+        # a symmetric family's third central moment is 0, so a deviation relative to
+        # its exact estimate would be taken against a value near 0
+        _, out, _ = run_cli(capsys, ["verify", "mc-consistency", "--draws", "100", "--seeds", "1"])
+        assert json.loads(out)["family"] == "weibull(shape=1, scale=1)"
+
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     def test_no_seeds_is_usage_error(self, capsys, seeds):
         code, out, err = run_cli(capsys, ["verify", "mc-consistency", "--n", "6", "--seeds", seeds])

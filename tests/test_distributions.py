@@ -110,20 +110,20 @@ class TestQuantiles:
 
 GAMMA_SHAPES = [0.1, 0.25, 0.5, 2.0 / 3.0, 1.0, 1.5, 2.0, 5.0, 50.0]
 
-#: Shapes where P at the table's lower starts underflows, up to _pq's largest.
+#: Shapes where P at the solver's lower starts underflows, up to _pq's largest.
 LARGE_SHAPES = [2000.0, 5000.0, 9999.0]
 
-#: Tails below the table's 2^-60, which the Newton solver serves.
+#: Tails far below 2^-60, where the Newton solver's steps meet underflow.
 DEEP_TAILS = [1e-20, 1e-100, 1e-300]
 
-#: How many ulp the tabulated inverse may be worse than scipy's gammaincinv at
+#: How many ulp the package's inverse may be worse than scipy's gammaincinv at
 #: its worst point: room for a last-bit difference in libm's pow and exp.
 ULP_MARGIN = 4.0
 
 
 def _gamma_seams(a):
-    """Where _gammaincinv switches: the two halves at u = 1/2, its residual's series
-    and continued fraction at x = a + 1, and the lower end of its table at u = 2^-60."""
+    """Seams to cross: _gammaincinv's two halves at u = 1/2, its residual's series and
+    continued fraction at x = a + 1, and u = 2^-60 in the lower tail."""
     return [0.5, float(gammainc(a, a + 1.0)), 2.0**-60]
 
 
@@ -170,7 +170,7 @@ def _oracle_ulp_errors(mpmath, a, u, x, q=None):
 
 
 class TestGammaQuantile:
-    """The tabulated inverse of P(a, x) behind the gamma and generalized Gaussian quantiles."""
+    """The inverse of P(a, x) behind the gamma and generalized Gaussian quantiles."""
 
     @pytest.mark.parametrize("a", GAMMA_SHAPES, ids=lambda a: f"a={a:.3g}")
     def test_no_worse_than_scipy_against_an_mpmath_oracle(self, a):
@@ -192,10 +192,6 @@ class TestGammaQuantile:
         assert _oracle_ulp_errors(mpmath, 50.0, u, _gammaincinv(50.0, u))[0] <= 4.0
 
     @pytest.mark.parametrize("a", GAMMA_SHAPES + LARGE_SHAPES, ids=lambda a: f"a={a:.3g}")
-    def test_quantile_table_is_finite(self, a):
-        assert np.isfinite(distributions._quantile_table(a)).all()
-
-    @pytest.mark.parametrize("a", GAMMA_SHAPES + LARGE_SHAPES, ids=lambda a: f"a={a:.3g}")
     def test_seeded_draws_never_fall_back_to_scipy(self, a, monkeypatch):
         def no_scipy():
             raise AssertionError("scipy fallback")
@@ -203,9 +199,9 @@ class TestGammaQuantile:
         monkeypatch.setattr(distributions, "_special", no_scipy)
         for seed in range(3):
             assert np.isfinite(Gamma(a).sample(20_000, seed)).all()
-            # nor the uncertified lanes of a tiny shape, most of its draws
+            # nor a tiny shape, most of whose draws underflow
             assert np.isfinite(Gamma(1e-3).sample(20_000, seed)).all()
-        # nor tails below the table, down to the smallest subnormal
+        # nor deep tails, down to the smallest subnormal
         tail = np.array(DEEP_TAILS + [2.0**-1074])
         assert np.isfinite(_gammaincinv(a, tail)).all()
         assert np.isfinite(_gammaincinv(a, 1.0 - tail, tail)).all()
@@ -457,29 +453,52 @@ class TestSampling:
         x = Weibull(1.0, 1.0).sample(10**6, 42)
         assert x.mean() == pytest.approx(1.0, abs=0.01)
 
-    def test_empirical_matches_cdf(self):
-        f = Gamma(2.0, 1.0)
+    @pytest.mark.parametrize("f", [Gamma(2.0, 1.0), Gamma(0.5), Gamma(50.0),
+                                   GeneralizedGaussian(0.0, 1.0, 1.5), normal(), laplace()],
+                             ids=lambda f: f.label)
+    def test_empirical_matches_cdf(self, f):
         x = f.sample(200_000, 11)
         for p in (0.1, 0.5, 0.9):
             assert np.mean(x <= f.quantile(p)) == pytest.approx(p, abs=5e-3)
 
 
-# every family, gamma shapes on both sides of the Stirling seam up to the last
-# tabulated one, and scales near the double limit
+# every family, gamma shapes on both sides of the Stirling seam up to _pq's own
+# largest, and scales near the double limit
 TILED_FAMILIES = ALL_FAMILIES + [
     Gamma(30.0), Gamma(50.0), Gamma(1e3), Gamma(9999.0),
     Gamma(2.0, 1e300), Weibull(1.0, 1e300), GeneralizedGaussian(0.0, 1e300, 2.0),
 ]
 
 
+#: the families drawn by inverse transform; the gamma family takes numpy's samplers
+INVERSE_TRANSFORM_FAMILIES = [f for f in TILED_FAMILIES if not isinstance(f, (Gamma, GeneralizedGaussian))]
+
+
 class TestTiledQuantiles:
     """Quantiles run one _TILE of lanes at a time, with the bits of one whole-array call."""
 
     @pytest.mark.parametrize("n", [1, _TILE - 1, _TILE + 1, 100_000])
-    @pytest.mark.parametrize("family", TILED_FAMILIES, ids=lambda f: f.label)
+    @pytest.mark.parametrize("family", INVERSE_TRANSFORM_FAMILIES, ids=lambda f: f.label)
     def test_draws_keep_the_bits_of_one_whole_array_quantile(self, family, n):
         whole = family._q(_open_unit(np.random.default_rng(5), n))
         assert family.sample(n, 5).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("a, scale", [(0.5, 1.0), (2.0, 3.0), (50.0, 1e300)])
+    def test_gamma_draws_are_numpys_gamma_draws(self, a, scale):
+        want = scale * np.random.default_rng(5).standard_gamma(a, 100_000)
+        assert Gamma(a, scale).sample(100_000, 5).tobytes() == want.tobytes()
+
+    def test_normal_draws_are_numpys_normal_draws(self):
+        want = np.random.default_rng(5).standard_normal(100_000)
+        assert normal().sample(100_000, 5).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 8.0])
+    def test_generalized_gaussian_draws_are_a_sign_times_a_gamma_power(self, beta):
+        # |Z| = G^(1/beta) with G ~ gamma(1/beta), then a fair sign from one bool a draw
+        rng = np.random.default_rng(5)
+        z = rng.standard_gamma(1.0 / beta, 100_000) ** (1.0 / beta)
+        want = 1.7 + 2.0 * np.where(rng.integers(0, 2, 100_000, dtype=bool), -z, z)
+        assert GeneralizedGaussian(1.7, 2.0, beta).sample(100_000, 5).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("family", TILED_FAMILIES, ids=lambda f: f.label)
     def test_quantile_keeps_the_bits_and_the_shape_of_the_input(self, family):
@@ -491,11 +510,11 @@ class TestTiledQuantiles:
                                         LogNormal(0.0, 1.0), Weibull(1.5), Uniform()],
                              ids=lambda f: f.label)
     def test_sample_holds_the_uniforms_the_draws_and_one_tile(self, family):
-        # _open_unit holds n 53-bit integers and their n uniforms, then the quantiles
-        # hold the uniforms, the n draws and one tile of temporaries (some 25 doubles
-        # a lane for the gamma family); the whole-array call held 24 n doubles
+        # by inverse transform _open_unit holds n 53-bit integers and their n uniforms,
+        # then the quantiles hold the uniforms, the n draws and one tile of temporaries;
+        # the gamma family's numpy samplers hold the n draws and one n-byte mask
         n = 100_000
-        family.sample(10, 1)  # warm the quantile table and scipy's import
+        family.sample(10, 1)  # warm scipy's import
         tracemalloc.start()
         try:
             out = family.sample(n, 1)

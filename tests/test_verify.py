@@ -36,7 +36,6 @@ from hlmoments import (
     support_bound_probe,
     variance_comparison,
 )
-from hlmoments.distributions import _open_unit
 from hlmoments.kernels import _TILE
 from hlmoments.verify import _shape_args
 
@@ -130,19 +129,17 @@ class TestKernelShapeProbe:
         with pytest.raises(ArgumentError):
             kernel_shape_probe(normal(0.0, 1.0), 5, n_draws=1000)
 
-    def test_draws_hold_the_uniforms_and_one_tile_of_quantile_temporaries(self):
-        # n x k draws are quantiles of n x k uniforms, one _TILE of lanes at a time,
-        # with the bits of one whole-array call; that call held 24 doubles a lane
+    def test_draws_are_the_family_sample_within_its_memory_bound(self):
+        # n x k draws are one n * k family sample, reshaped, so they hold what the
+        # sample holds
         n, k, f = 100_000, 3, Gamma(2.0)
-        _shape_args(f, k, 10, 1, None)  # warm the quantile table
         tracemalloc.start()
         try:
             x = _shape_args(f, k, n, 1, None)[3]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        u = _open_unit(np.random.default_rng(np.random.SeedSequence(1)), (n, k))
-        assert x.tobytes() == f._q(u).tobytes()
+        assert x.tobytes() == f.sample(n * k, 1).reshape(n, k).tobytes()
         assert peak <= 2 * 8 * n * k + 32 * 8 * _TILE
 
     @pytest.mark.parametrize("bins", [0, -3, 2.5, "10", True])
