@@ -206,6 +206,18 @@ class TestGammaQuantile:
         assert np.isfinite(_gammaincinv(a, tail)).all()
         assert np.isfinite(_gammaincinv(a, 1.0 - tail, tail)).all()
 
+    @pytest.mark.parametrize("a", GAMMA_SHAPES + LARGE_SHAPES, ids=lambda a: f"a={a:.3g}")
+    def test_seeded_quantiles_never_fall_back_to_scipy(self, a, monkeypatch):
+        # draws take numpy's gamma sampler, so the quantile's body is checked here
+        def no_scipy():
+            raise AssertionError("scipy fallback")
+
+        monkeypatch.setattr(distributions, "_special", no_scipy)
+        for seed in range(3):
+            u = _open_unit(np.random.default_rng(seed), 20_000)
+            assert np.isfinite(Gamma(a).quantile(u)).all()
+            assert np.isfinite(Gamma(1e-3).quantile(u)).all()
+
     @pytest.mark.parametrize("a", GAMMA_SHAPES + [1e-3, 3e3, 9999.0], ids=lambda a: f"a={a:.3g}")
     def test_monotone_across_the_seams(self, a):
         steps = 1.0 + np.arange(-500, 501) * 2.0**-40
@@ -473,6 +485,12 @@ TILED_FAMILIES = ALL_FAMILIES + [
 #: the families drawn by inverse transform; the gamma family takes numpy's samplers
 INVERSE_TRANSFORM_FAMILIES = [f for f in TILED_FAMILIES if not isinstance(f, (Gamma, GeneralizedGaussian))]
 
+#: the gamma family's members among them, plus a shape below 1 and a non-zero mu
+#: at a light and a heavy tail
+NUMPY_SAMPLER_FAMILIES = [f for f in TILED_FAMILIES if isinstance(f, (Gamma, GeneralizedGaussian))] + [
+    Gamma(0.5), GeneralizedGaussian(1.7, 2.0, 0.5), GeneralizedGaussian(1.7, 2.0, 8.0),
+]
+
 
 class TestTiledQuantiles:
     """Quantiles run one _TILE of lanes at a time, with the bits of one whole-array call."""
@@ -483,22 +501,18 @@ class TestTiledQuantiles:
         whole = family._q(_open_unit(np.random.default_rng(5), n))
         assert family.sample(n, 5).tobytes() == whole.tobytes()
 
-    @pytest.mark.parametrize("a, scale", [(0.5, 1.0), (2.0, 3.0), (50.0, 1e300)])
-    def test_gamma_draws_are_numpys_gamma_draws(self, a, scale):
-        want = scale * np.random.default_rng(5).standard_gamma(a, 100_000)
-        assert Gamma(a, scale).sample(100_000, 5).tobytes() == want.tobytes()
-
-    def test_normal_draws_are_numpys_normal_draws(self):
-        want = np.random.default_rng(5).standard_normal(100_000)
-        assert normal().sample(100_000, 5).tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5, 8.0])
-    def test_generalized_gaussian_draws_are_a_sign_times_a_gamma_power(self, beta):
-        # |Z| = G^(1/beta) with G ~ gamma(1/beta), then a fair sign from one bool a draw
+    @pytest.mark.parametrize("n", [1, _TILE - 1, _TILE + 1, 100_000])
+    @pytest.mark.parametrize("family", NUMPY_SAMPLER_FAMILIES, ids=lambda f: f.label)
+    def test_gamma_family_draws_are_numpys_draws(self, family, n):
         rng = np.random.default_rng(5)
-        z = rng.standard_gamma(1.0 / beta, 100_000) ** (1.0 / beta)
-        want = 1.7 + 2.0 * np.where(rng.integers(0, 2, 100_000, dtype=bool), -z, z)
-        assert GeneralizedGaussian(1.7, 2.0, beta).sample(100_000, 5).tobytes() == want.tobytes()
+        if isinstance(family, Gamma):
+            want = family.scale * rng.standard_gamma(family.shape, n)
+        elif family.beta == 2.0:  # the normal member
+            want = family.mu + family.sigma / math.sqrt(2.0) * rng.standard_normal(n)
+        else:  # |Z| = G^(1/beta) with G ~ gamma(1/beta), then a fair sign from one bool a draw
+            z = rng.standard_gamma(1.0 / family.beta, n) ** (1.0 / family.beta)
+            want = family.mu + family.sigma * np.where(rng.integers(0, 2, n, dtype=bool), -z, z)
+        assert family.sample(n, 5).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("family", TILED_FAMILIES, ids=lambda f: f.label)
     def test_quantile_keeps_the_bits_and_the_shape_of_the_input(self, family):
